@@ -1,10 +1,17 @@
 """Numba acceleration toggle.
 
-Hot numeric kernels (Fock-state evolution, permanents, the sequential
-sampler, cost evaluation, and the baseline search loops) are compiled with
-numba by default. Setting the environment variable ``BBS_NO_NUMBA=1``
-selects the pure-numpy fallback paths instead; results are identical up to
-floating-point rounding, only slower. The flag is read once at import time.
+:func:`maybe_njit` compiles a loop kernel with numba when numba imports and
+leaves the same Python function in place otherwise; there is no second
+implementation. The decorated kernels are the beamsplitter block fill
+(``_evolve_kernels._fill_blocks``), the Fock pattern enumeration
+(``fock._fill_patterns``), the sequential sampler with its real Ryser
+permanent (``sampling._sequential_kernel``, ``_perm_real``), the packed
+single-candidate cost (``_cost_kernels.eval_one``) and the SA/HC search
+loops. Only ``baselines`` also branches on :data:`NUMBA_ENABLED`: when on,
+it runs the compiled SA/HC kernels on ``handle.pack``; otherwise its Python
+loops on ``handle.eval``, which the tests use as the reference.
+Setting ``BBS_NO_NUMBA=1`` turns compilation off. The flag is read once at
+import time.
 """
 
 import os

@@ -1,13 +1,19 @@
-"""Packed single-candidate cost kernels shared by the baselines.
+"""Cost kernels: packed single-candidate costs and row-vectorized batches.
 
-Each problem kind is packed into flat integer/float parameter arrays so a
-compiled search loop can evaluate candidates without Python callbacks.
-Layouts:
+For the baselines' search loops, each problem kind is packed into flat
+integer/float parameter arrays so a compiled loop can evaluate candidates
+without Python callbacks. Layouts:
 
 * knapsack:       ints = [n, W, v_1..v_n, w_1..w_n]
 * deconfliction:  ints = [N, K, CM flattened row-major (m*m)]
-* tsp:            ints = [n_points, m, 0!, 1!, .., (n-2)!], floats = xy pairs
+* tsp:            ints = [n_points, m, 0!, 1!, .., (n-2)!], floats = xy pairs;
+                  only packed while (n-1)! < 2^63, so the index fits int64
+
+The ``*_batch`` functions cost a (rows, m) bit matrix at once with numpy and
+back every handle's ``eval_batch``.
 """
+
+from math import factorial
 
 import numpy as np
 
@@ -62,7 +68,7 @@ def eval_one(kind, ints, floats, bits):
     m = ints[1]
     k = 0
     for i in range(m):
-        k = (k << 1) | bits[i]
+        k = (k << 1) | int(bits[i])  # a uint8 bit would keep k uint8
     n_perm = n_pts - 1
     k %= ints[2 + n_perm - 1] * n_perm  # (n-2)! * (n-1) == (n-1)!
     unused = np.empty(n_perm, dtype=np.int64)
@@ -92,12 +98,6 @@ def eval_one(kind, ints, floats, bits):
     return length + np.sqrt(dx * dx + dy * dy)
 
 
-@maybe_njit(cache=True)
-def eval_batch_kernel(kind, ints, floats, bits_mat, out):
-    for r in range(bits_mat.shape[0]):
-        out[r] = eval_one(kind, ints, floats, bits_mat[r])
-
-
 def knapsack_batch(values, weights, capacity, bits_mat):
     v = bits_mat.astype(np.int64) @ values
     w = bits_mat.astype(np.int64) @ weights
@@ -113,3 +113,30 @@ def deconfliction_batch(n_air, k_man, cm2, bits_mat):
     h3 = b[:, ::k_man].sum(axis=1)
     m = n_air * k_man
     return ((m + 1) * h1 + (n_air + 1) * h2 - h3).astype(np.float64)
+
+
+def tsp_batch(points, bits_mat):
+    """Row-wise ``problems.tsp_cost``: the same Lehmer decode and the same
+    float operations in the same order, so every length is bit-identical.
+
+    The index is an exact integer: int64 up to 62 bits, Python ints beyond.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    b = np.asarray(bits_mat)
+    rows, m = b.shape
+    dtype = object if m > 62 else np.int64
+    weights = np.array([1 << s for s in range(m - 1, -1, -1)], dtype=dtype)
+    k = (b.astype(dtype) @ weights) % factorial(n - 1)
+    unused = np.tile(np.arange(1, n, dtype=np.int64), (rows, 1))
+    tour = np.zeros((rows, n + 1), dtype=np.int64)
+    for i in range(n - 1):
+        f = factorial(n - 2 - i)
+        d = k // f
+        k = k - d * f
+        d = d.astype(np.int64)
+        tour[:, i + 1] = unused[np.arange(rows), d]
+        keep = np.arange(n - 1 - i) != d[:, None]
+        unused = unused[keep].reshape(rows, n - 2 - i)
+    legs = np.diff(pts[tour], axis=1)
+    return np.sqrt((legs**2).sum(axis=2)).sum(axis=1)

@@ -10,7 +10,7 @@ All circuit unitaries are real rotations, so amplitudes stay real float64.
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit
+from ._accel import maybe_njit
 
 
 @maybe_njit(cache=True)
@@ -49,35 +49,16 @@ def _fill_blocks(ct, st, n, choose, sqfact, out):
                 out[t, kp, k] = acc * sqfact[kp] * sqfact[lp] / (sqfact[k] * sqfact[l])
 
 
-@maybe_njit(cache=True)
-def _apply_levels_numba(amps, flat_idx, lvl_t, lvl_off, lvl_groups, blocks, scratch):
-    for li in range(lvl_t.shape[0]):
-        t = lvl_t[li]
-        width = t + 1
-        base = lvl_off[li]
-        for g in range(lvl_groups[li]):
-            off = base + g * width
-            for kp in range(width):
-                acc = 0.0
-                for k in range(width):
-                    acc += blocks[t, kp, k] * amps[flat_idx[off + k]]
-                scratch[kp] = acc
-            for kp in range(width):
-                amps[flat_idx[off + kp]] = scratch[kp]
-
-
 class CouplerTable:
     """Precomputed sibling-index groups for one coupler on one Fock basis."""
 
-    __slots__ = ("n", "flat_idx", "lvl_t", "lvl_off", "lvl_groups", "views")
+    __slots__ = ("n", "views")
 
     def __init__(self, basis, i: int, j: int):
         pats = basis.patterns
         ci = pats[:, i].astype(np.int64)
         cj = pats[:, j].astype(np.int64)
-        chunks, lvl_t, lvl_groups, views = [], [], [], []
-        offset = 0
-        lvl_off = [0]
+        views = []
         for t in range(1, basis.n + 1):
             leaders = np.nonzero((cj == 0) & (ci == t))[0]
             if leaders.size == 0:
@@ -89,20 +70,9 @@ class CouplerTable:
                 work[:, i] = kp
                 work[:, j] = t - kp
                 members[:, kp] = basis.rank_rows(work)
-            chunks.append(members.ravel())
-            lvl_t.append(t)
-            lvl_groups.append(leaders.size)
-            offset += members.size
-            lvl_off.append(offset)
             views.append((t, members))
         self.n = basis.n
-        self.flat_idx = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-        self.lvl_t = np.asarray(lvl_t, dtype=np.int64)
-        self.lvl_off = np.asarray(lvl_off, dtype=np.int64)
-        self.lvl_groups = np.asarray(lvl_groups, dtype=np.int64)
-        self.views = views  # [(t, member index matrix)] for the numpy path
+        self.views = views  # [(t, member index matrix)], one per pair total t
 
 
 def make_blocks(theta: float, n: int, choose, sqfact) -> np.ndarray:
@@ -114,18 +84,6 @@ def make_blocks(theta: float, n: int, choose, sqfact) -> np.ndarray:
 def apply_coupler(amps: np.ndarray, table: CouplerTable, theta: float, choose, sqfact):
     """In-place beamsplitter application on a real state vector."""
     blocks = make_blocks(theta, table.n, choose, sqfact)
-    if NUMBA_ENABLED:
-        scratch = np.empty(table.n + 1)
-        _apply_levels_numba(
-            amps,
-            table.flat_idx,
-            table.lvl_t,
-            table.lvl_off,
-            table.lvl_groups,
-            blocks,
-            scratch,
-        )
-    else:
-        for t, members in table.views:
-            b = blocks[t, : t + 1, : t + 1]
-            amps[members] = amps[members] @ b.T
+    for t, members in table.views:
+        b = blocks[t, : t + 1, : t + 1]
+        amps[members] = amps[members] @ b.T

@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from .interferometer import (
     input_pattern,
 )
 from .problems import SENSE_MAX, CostFunctionHandle
-from .sampling import resolve_backend, sample_occupations_sequential
+from .sampling import draw_from_cdf, resolve_backend, sample_occupations_sequential
 
 
 def sigmoid(x):
@@ -258,8 +259,22 @@ def apply_bitflips(bits, probs, rng: np.random.Generator) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if bits.shape[-1] != probs.shape[0]:
         raise ValueError("bit/probability length mismatch")
-    flips = rng.random(bits.shape) < probs
-    return bits ^ flips.astype(np.uint8)
+    return _flip_bits(bits, probs, rng)[0]
+
+
+def _flip_bits(raw, probs, rng, force_index=None, force_up=False, uniforms=None):
+    """Flip bit j of every row independently with probability ``probs[j]``.
+
+    ``force_index`` pins that bit's flip decision to ``force_up``. Passing
+    the uniforms an earlier call returned reuses its draws instead of
+    drawing fresh ones. Returns (flipped bits, uniforms used).
+    """
+    if uniforms is None:
+        uniforms = rng.random(raw.shape)
+    flips = uniforms < probs
+    if force_index is not None:
+        flips[..., force_index] = force_up
+    return raw ^ flips.astype(np.uint8), uniforms
 
 
 class _TileRuntime:
@@ -313,9 +328,7 @@ class _TileRuntime:
         return np.cumsum(amps**2)
 
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
-        draws = np.searchsorted(cdf, rng.random(count), side="right")
-        np.clip(draws, 0, cdf.size - 1, out=draws)
-        return self.basis.thresholded[draws]
+        return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
     def sample_base(self, rng, count: int) -> np.ndarray:
         if self.backend == "statevector":
@@ -386,13 +399,7 @@ class _RunState:
         return np.concatenate(cols, axis=1)
 
     def _flip(self, raw: np.ndarray, force_index=None, force_up=False, uniforms=None):
-        probs = self.params.probs
-        if uniforms is None:
-            uniforms = self.rng.random(raw.shape)
-        flips = uniforms < probs[None, :]
-        if force_index is not None:
-            flips[:, force_index] = force_up
-        return raw ^ flips.astype(np.uint8), uniforms
+        return _flip_bits(raw, self.params.probs, self.rng, force_index, force_up, uniforms)
 
     def forward_pass(self):
         """Sample, flip, evaluate; returns (mean internal cost, raw samples)."""
@@ -414,12 +421,24 @@ class _RunState:
     def alpha_gradient(self, index: int, raw: np.ndarray) -> float:
         if raw.shape[0] == 0:
             raise ValueError("no stored samples for the bit-flip gradient")
-        up, uniforms = self._flip(raw, force_index=index, force_up=True)
-        e_up = float(self.ledger.evaluate_batch(up).mean())
-        shared = uniforms if self.crn else None
-        down, _ = self._flip(raw, force_index=index, force_up=False, uniforms=shared)
-        e_down = float(self.ledger.evaluate_batch(down).mean())
-        return bitflip_grad_value(self.params.alphas[index], e_up, e_down)
+        return _bitflip_gradient(
+            self._flip, self.ledger, raw, index, self.params.alphas[index], self.crn
+        )
+
+
+def _bitflip_gradient(flip, ledger, raw, index, alpha, crn):
+    """E[C | bit ``index`` flipped] minus E[C | not flipped], times f'(alpha).
+
+    ``flip(raw, force_index=, force_up=, uniforms=)`` is a bound
+    :func:`_flip_bits`. With ``crn`` the second pass reuses the first
+    pass's uniforms; otherwise it draws fresh ones.
+    """
+    up, uniforms = flip(raw, force_index=index, force_up=True)
+    e_up = float(ledger.evaluate_batch(up).mean())
+    shared = uniforms if crn else None
+    down, _ = flip(raw, force_index=index, force_up=False, uniforms=shared)
+    e_down = float(ledger.evaluate_batch(down).mean())
+    return bitflip_grad_value(alpha, e_up, e_down)
 
 
 def sgd_update(
@@ -602,13 +621,5 @@ def grad_alpha(raw_samples, params, index, problem, ledger=None, rng=None, crn=F
     ledger = ledger if isinstance(ledger, EvalLedger) else EvalLedger(ledger or problem)
     if rng is None:
         rng = np.random.default_rng(0)
-    probs = sigmoid(params.alphas)
-    uniforms = rng.random(raw.shape)
-    flips = uniforms < probs[None, :]
-    flips[:, index] = True
-    e_up = float(ledger.evaluate_batch(raw ^ flips.astype(np.uint8)).mean())
-    uniforms2 = uniforms if crn else rng.random(raw.shape)
-    flips = uniforms2 < probs[None, :]
-    flips[:, index] = False
-    e_down = float(ledger.evaluate_batch(raw ^ flips.astype(np.uint8)).mean())
-    return bitflip_grad_value(params.alphas[index], e_up, e_down)
+    flip = partial(_flip_bits, probs=sigmoid(params.alphas), rng=rng)
+    return _bitflip_gradient(flip, ledger, raw, index, params.alphas[index], crn)

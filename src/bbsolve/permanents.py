@@ -11,48 +11,15 @@ from math import factorial
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit
-
-_FALLBACK_LIMIT = 18
-
-
-@maybe_njit(cache=True)
-def _ryser_complex(a):
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    row_sum = np.zeros(n, dtype=np.complex128)
-    sgn = 1.0
-    for k in range(1, 1 << n):
-        # gray code: bit j of the subset flips at step k
-        j = 0
-        kk = k
-        while not kk & 1:
-            kk >>= 1
-            j += 1
-        if (k ^ (k >> 1)) >> j & 1:
-            for i in range(n):
-                row_sum[i] += a[i, j]
-        else:
-            for i in range(n):
-                row_sum[i] -= a[i, j]
-        sgn = -sgn
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= row_sum[i]
-        total += sgn * prod
-    if n & 1:
-        return -total
-    return total
+_PERM_LIMIT = 18
 
 
 def _perm_vectorized(a: np.ndarray) -> complex:
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
-    if n > _FALLBACK_LIMIT:
-        raise ValueError(f"permanent fallback limited to n <= {_FALLBACK_LIMIT}")
+    if n > _PERM_LIMIT:
+        raise ValueError(f"permanent limited to n <= {_PERM_LIMIT}")
     k = np.arange(1, 1 << n, dtype=np.int64)
     bits = (k[:, None] >> np.arange(n)) & 1
     sums = bits @ a.T.astype(np.complex128)
@@ -63,12 +30,10 @@ def _perm_vectorized(a: np.ndarray) -> complex:
 
 
 def permanent(mat) -> complex:
-    """Permanent of a square matrix (Ryser, O(n 2^n))."""
+    """Permanent of a square matrix of size n <= 18 (Ryser, O(n 2^n))."""
     a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if NUMBA_ENABLED:
-        return complex(_ryser_complex(np.ascontiguousarray(a, dtype=np.complex128)))
     return _perm_vectorized(a)
 
 

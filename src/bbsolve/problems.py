@@ -2,8 +2,9 @@
 
 Every instance exposes a :class:`CostFunctionHandle` with a pure
 ``eval(bits) -> float`` plus a vectorized ``eval_batch`` and a packed-kernel
-form used by the compiled search loops. Instances serialize to JSON and
-round-trip losslessly.
+form used by the compiled search loops (``None`` for TSP from 22 points,
+where the packed tour index would overflow int64). Instances serialize to
+JSON and round-trip losslessly.
 """
 
 import json
@@ -13,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED
 from . import _cost_kernels as ck
 
 SENSE_MIN = "minimize"
@@ -39,18 +39,6 @@ class CostFunctionHandle:
         if self.eval_batch is not None:
             return self.eval_batch(bits_mat)
         return np.array([float(self.eval(row)) for row in bits_mat])
-
-
-def _packed_batch(pack):
-    kind, ints, floats = pack
-
-    def run(bits_mat):
-        bits_mat = np.ascontiguousarray(bits_mat, dtype=np.uint8)
-        out = np.empty(bits_mat.shape[0])
-        ck.eval_batch_kernel(kind, ints, floats, bits_mat, out)
-        return out
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +103,14 @@ def knapsack_handle(instance: KnapsackInstance, metadata=None) -> CostFunctionHa
     values = np.asarray(instance.values, dtype=np.int64)
     weights = np.asarray(instance.weights, dtype=np.int64)
     ints = np.concatenate(([instance.size, instance.capacity], values, weights))
-    pack = (ck.KIND_KNAPSACK, ints, np.empty(0))
-    if NUMBA_ENABLED:
-        batch = _packed_batch(pack)
-    else:
-        batch = lambda bm: ck.knapsack_batch(values, weights, instance.capacity, bm)
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MAX,
         eval=lambda bits: knapsack_cost(instance, bits),
         kind="knapsack",
         metadata=metadata or {},
-        eval_batch=batch,
-        pack=pack,
+        eval_batch=lambda bm: ck.knapsack_batch(values, weights, instance.capacity, bm),
+        pack=(ck.KIND_KNAPSACK, ints, np.empty(0)),
     )
 
 
@@ -207,21 +190,16 @@ def deconfliction_handle(instance: DeconflictionInstance, metadata=None) -> Cost
     ints = np.concatenate(
         ([instance.n_aircraft, instance.n_maneuvers], cm2.ravel())
     ).astype(np.int64)
-    pack = (ck.KIND_DECONFLICTION, ints, np.empty(0))
-    if NUMBA_ENABLED:
-        batch = _packed_batch(pack)
-    else:
-        batch = lambda bm: ck.deconfliction_batch(
-            instance.n_aircraft, instance.n_maneuvers, cm2, bm
-        )
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MIN,
         eval=lambda bits: deconfliction_cost(instance, bits),
         kind="deconfliction",
         metadata=metadata or {},
-        eval_batch=batch,
-        pack=pack,
+        eval_batch=lambda bm: ck.deconfliction_batch(
+            instance.n_aircraft, instance.n_maneuvers, cm2, bm
+        ),
+        pack=(ck.KIND_DECONFLICTION, ints, np.empty(0)),
     )
 
 
@@ -294,21 +272,19 @@ def gen_tsp(n_points: int, rng: np.random.Generator) -> TspInstance:
 
 def tsp_handle(instance: TspInstance, metadata=None) -> CostFunctionHandle:
     n = instance.n_points
-    facts = np.array([factorial(q) for q in range(n - 1)], dtype=np.int64)
-    ints = np.concatenate(([n, instance.size], facts))
-    floats = np.asarray(instance.points, dtype=np.float64).ravel()
-    pack = (ck.KIND_TSP, ints, floats)
-    if NUMBA_ENABLED:
-        batch = _packed_batch(pack)
-    else:
-        batch = lambda bm: np.array([tsp_cost(instance, row) for row in bm])
+    points = np.asarray(instance.points, dtype=np.float64)
+    pack = None
+    if factorial(n - 1) < 1 << 63:  # else the packed kernel's int64 index overflows
+        facts = np.array([factorial(q) for q in range(n - 1)], dtype=np.int64)
+        ints = np.concatenate(([n, instance.size], facts))
+        pack = (ck.KIND_TSP, ints, points.ravel())
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MIN,
         eval=lambda bits: tsp_cost(instance, bits),
         kind="tsp",
         metadata=metadata or {},
-        eval_batch=batch,
+        eval_batch=lambda bm: ck.tsp_batch(points, bm),
         pack=pack,
     )
 

@@ -30,10 +30,19 @@ def sample_occupations_statevector(
     state: FockStateVector, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """Draw ``count`` occupation patterns from the exact distribution."""
-    cdf = np.cumsum(state.probabilities())
-    draws = np.searchsorted(cdf, rng.random(count), side="right")
-    np.clip(draws, 0, cdf.size - 1, out=draws)
+    draws = draw_from_cdf(np.cumsum(state.probabilities()), rng, count)
     return state.basis.patterns[draws].astype(np.int64)
+
+
+def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` basis indices by inverting a cumulative distribution.
+
+    When rounding leaves ``cdf[-1]`` below 1, a uniform in [cdf[-1], 1) is
+    mapped to the last state with positive probability, never past it to a
+    trailing zero-probability state.
+    """
+    draws = np.searchsorted(cdf, rng.random(count), side="right")
+    return np.minimum(draws, np.searchsorted(cdf, cdf[-1], side="left"))
 
 
 @maybe_njit(cache=True)

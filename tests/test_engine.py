@@ -8,6 +8,7 @@ from bbsolve.engine import (
     BbsConfig,
     BbsParams,
     EvalLedger,
+    _transient_state,
     apply_bitflips,
     budget_bound,
     estimate_mean_cost,
@@ -321,6 +322,34 @@ class TestGradAlpha:
         a = grad_alpha(raw, params, 1, handle, rng=np.random.default_rng(4), crn=True)
         b = grad_alpha(raw, params, 1, handle, rng=np.random.default_rng(4), crn=True)
         assert a == b
+
+
+class TestSharedFlip:
+    """The standalone helpers and the run loop flip bits the same way."""
+
+    def setup_state(self, seed, crn=False):
+        handle = knapsack_handle(gen_knapsack(6, np.random.default_rng(31)))
+        plan = make_tiles(6, 0, (1, 3))
+        params = init_params(plan, np.random.default_rng(32))
+        params.alphas[:] = np.random.default_rng(33).normal(size=6)
+        raw = np.random.default_rng(34).integers(0, 2, (40, 6)).astype(np.uint8)
+        state, _ = _transient_state(
+            plan, params, handle, 40, np.random.default_rng(seed), crn=crn
+        )
+        return handle, params, raw, state
+
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_grad_alpha_matches_run_state(self, crn):
+        handle, params, raw, state = self.setup_state(35, crn)
+        got = grad_alpha(raw, params, 2, handle, rng=np.random.default_rng(35), crn=crn)
+        assert got == state.alpha_gradient(2, raw)
+
+    def test_apply_bitflips_matches_run_state_flip(self):
+        _, params, raw, state = self.setup_state(36)
+        flipped, _ = state._flip(raw)
+        np.testing.assert_array_equal(
+            apply_bitflips(raw, params.probs, np.random.default_rng(36)), flipped
+        )
 
 
 class TestReachability:

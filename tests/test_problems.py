@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from bbsolve import _cost_kernels as ck
 from bbsolve.problems import (
     BruteForceResult,
     DeconflictionInstance,
@@ -244,6 +245,54 @@ class TestTspCost:
         np.testing.assert_allclose(
             handle.batch(bits), [handle.eval(row) for row in bits], rtol=1e-12
         )
+
+    def test_batch_exact_on_every_string_at_seven_points(self):
+        inst = gen_tsp(7, np.random.default_rng(13))
+        bits = np.array(all_bits(inst.size))
+        assert bits.shape == (1024, 10)
+        np.testing.assert_array_equal(
+            tsp_handle(inst).batch(bits), [tsp_cost(inst, row) for row in bits]
+        )
+
+    def test_batch_exact_past_int64(self):
+        inst = gen_tsp(22, np.random.default_rng(14))
+        assert inst.size == 66
+        bits = np.random.default_rng(15).integers(0, 2, size=(100, 66)).astype(np.uint8)
+        bits[0] = 1  # index 2^66 - 1
+        np.testing.assert_array_equal(
+            tsp_handle(inst).batch(bits), [tsp_cost(inst, row) for row in bits]
+        )
+
+
+class TestPackedKernel:
+    """``eval_one`` on ``handle.pack`` is the cost the compiled baselines see."""
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            knapsack_handle(gen_knapsack(12, np.random.default_rng(21))),
+            deconfliction_handle(gen_deconfliction(4, 3, 0.4, np.random.default_rng(22))),
+            tsp_handle(gen_tsp(7, np.random.default_rng(23))),
+            tsp_handle(gen_tsp(13, np.random.default_rng(24))),
+            tsp_handle(gen_tsp(21, np.random.default_rng(25))),
+        ],
+        ids=["knapsack", "deconfliction", "tsp7", "tsp13", "tsp21"],
+    )
+    def test_eval_one_matches_eval(self, handle):
+        bits = np.random.default_rng(26).integers(0, 2, size=(200, handle.size)).astype(np.uint8)
+        bits[0] = 1
+        packed = [ck.eval_one(*handle.pack, row) for row in bits]
+        # eval_one adds tour legs left to right, numpy's sum pairs them from
+        # 8 legs on, so TSP lengths may differ in the last bits
+        rtol = 1e-12 if handle.kind == "tsp" else 0.0
+        np.testing.assert_allclose(
+            packed, [handle.eval(row) for row in bits], rtol=rtol, atol=0.0
+        )
+
+    def test_tsp_unpacked_from_22_points(self):
+        # 21! >= 2^63: the packed int64 index and modulus would overflow
+        assert tsp_handle(gen_tsp(21, np.random.default_rng(27))).pack is not None
+        assert tsp_handle(gen_tsp(22, np.random.default_rng(28))).pack is None
 
 
 class TestBruteForce:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bbsolve.engine import _TileRuntime
+from bbsolve.fock import DEFAULT_MAX_DIM, FockStateVector
 from bbsolve.fock import evolve, output_distribution
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from bbsolve.sampling import (
@@ -33,6 +35,26 @@ def test_hom_coincidences_never_sampled():
     bits = sample_threshold(state, np.random.default_rng(4), 100_000)
     coincidences = np.sum((bits == 1).all(axis=1))
     assert coincidences / 100_000 <= 0.005
+
+
+class _TopUniform:
+    """Generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+def test_cdf_tail_draw_lands_on_last_positive_state():
+    # probabilities sum to 1 - 1e-12 and the trailing states are empty, so
+    # the top uniform lies beyond cdf[-1]; it must land on state 1
+    state = FockStateVector(3, 1, np.sqrt([0.5, 0.5 - 1e-12, 0.0]))
+    occ = sample_occupations_statevector(state, _TopUniform(), 4)
+    np.testing.assert_array_equal(occ, np.tile(state.basis.patterns[1], (4, 1)))
+
+    tile = _TileRuntime(build_layout(3, [1]), "statevector", DEFAULT_MAX_DIM)
+    cdf = np.cumsum([0.5, 0.5 - 1e-12, 0.0, 0.0, 0.0, 0.0])
+    bits = tile._draw_from_cdf(cdf, _TopUniform(), 4)
+    np.testing.assert_array_equal(bits, np.tile(tile.basis.thresholded[1], (4, 1)))
 
 
 def test_statevector_matches_oracle_tv():

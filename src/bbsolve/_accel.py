@@ -2,8 +2,7 @@
 
 :func:`maybe_njit` compiles a loop kernel with numba when numba imports and
 leaves the same Python function in place otherwise; there is no second
-implementation. The decorated kernels are the beamsplitter block fill
-(``_evolve_kernels._fill_blocks``), the Fock pattern enumeration
+implementation. The decorated kernels are the Fock pattern enumeration
 (``fock._fill_patterns``), the sequential sampler with its real Ryser
 permanent (``sampling._sequential_kernel``, ``_perm_real``), the packed
 single-candidate cost (``_cost_kernels.eval_one``) and the SA/HC search

@@ -3,56 +3,61 @@
 A beamsplitter on modes (i, j) only mixes basis states that share the same
 occupation outside the pair and the same pair total t = n_i + n_j. Basis
 indices are therefore precomputed into groups of t + 1 siblings; applying a
-coupler is a batch of tiny (t+1) x (t+1) matrix-vector products.
+coupler is a batch of tiny (t+1) x (t+1) matrix products.
+
+A coupler's blocks, one (t+1) x (t+1) matrix per pair total t, have entries
+that are homogeneous polynomials of degree t in (cos theta, sin theta). Their
+coefficients depend only on the photon number, so they are tabulated once
+(:func:`block_coefficients`) and the blocks of any number of thetas come
+from one contraction (:func:`make_blocks`).
 
 All circuit unitaries are real rotations, so amplitudes stay real float64.
 """
 
+from math import comb, factorial, sqrt
+
 import numpy as np
 
-from ._accel import maybe_njit
 
+def block_coefficients(n: int) -> np.ndarray:
+    """Coefficient tensor ``coef[t, kp, k, e]`` of the beamsplitter blocks.
 
-@maybe_njit(cache=True)
-def _fill_blocks(ct, st, n, choose, sqfact, out):
-    """Fill out[t, kp, k] with pair-space beamsplitter matrix elements.
-
-    out[t, kp, k] is the amplitude for |k, t-k> -> |kp, t-kp> under the mode
-    rotation a_i -> ct*a_i + st*a_j, a_j -> -st*a_i + ct*a_j.
+    The block entry for |k, t-k> -> |kp, t-kp> under the mode rotation
+    a_i -> c*a_i + s*a_j, a_j -> -s*a_i + c*a_j is
+    ``sum_e coef[t, kp, k, e] * c**e * s**(t - e)``.
     """
-    ctp = np.empty(n + 1)
-    stp = np.empty(n + 1)
-    ctp[0] = 1.0
-    stp[0] = 1.0
-    for q in range(1, n + 1):
-        ctp[q] = ctp[q - 1] * ct
-        stp[q] = stp[q - 1] * st
+    coef = np.zeros((n + 1, n + 1, n + 1, n + 1))
     for t in range(n + 1):
         for k in range(t + 1):
             l = t - k
             for kp in range(t + 1):
                 lp = t - kp
-                qlo = kp - k if kp > k else 0
-                qhi = l if l < kp else kp
-                acc = 0.0
-                for q in range(qlo, qhi + 1):
+                # int / int is correctly rounded, so norm is within an ulp
+                norm = sqrt(factorial(kp) * factorial(lp) / (factorial(k) * factorial(l)))
+                for q in range(max(kp - k, 0), min(l, kp) + 1):
                     p = kp - q
-                    term = (
-                        choose[k, p]
-                        * choose[l, q]
-                        * ctp[p + l - q]
-                        * stp[k - p + q]
-                    )
-                    if q & 1:
-                        term = -term
-                    acc += term
-                out[t, kp, k] = acc * sqfact[kp] * sqfact[lp] / (sqfact[k] * sqfact[l])
+                    term = comb(k, p) * comb(l, q) * norm
+                    coef[t, kp, k, p + l - q] = -term if q & 1 else term
+    return coef
+
+
+def make_blocks(thetas, coef: np.ndarray) -> np.ndarray:
+    """Blocks ``out[x, t, kp, k]`` of every theta in ``thetas`` at once."""
+    thetas = np.asarray(thetas, dtype=float)
+    n = coef.shape[0] - 1
+    powers = np.arange(n + 1)
+    cpow = np.cos(thetas)[:, None] ** powers
+    spow = np.sin(thetas)[:, None] ** powers
+    # terms[x, t, e] = c**e * s**(t - e); entries with e > t meet zero coefficients
+    sin_exp = np.maximum(powers[:, None] - powers[None, :], 0)
+    terms = cpow[:, None, :] * spow[:, sin_exp]
+    return np.einsum("tpke,xte->xtpk", coef, terms)
 
 
 class CouplerTable:
     """Precomputed sibling-index groups for one coupler on one Fock basis."""
 
-    __slots__ = ("n", "views")
+    __slots__ = ("views",)
 
     def __init__(self, basis, i: int, j: int):
         pats = basis.patterns
@@ -71,19 +76,17 @@ class CouplerTable:
                 work[:, j] = t - kp
                 members[:, kp] = basis.rank_rows(work)
             views.append((t, members))
-        self.n = basis.n
         self.views = views  # [(t, member index matrix)], one per pair total t
 
 
-def make_blocks(theta: float, n: int, choose, sqfact) -> np.ndarray:
-    blocks = np.zeros((n + 1, n + 1, n + 1))
-    _fill_blocks(np.cos(theta), np.sin(theta), n, choose, sqfact, blocks)
-    return blocks
+def apply_coupler(amps: np.ndarray, table: CouplerTable, blocks: np.ndarray):
+    """In-place beamsplitter application on real states.
 
-
-def apply_coupler(amps: np.ndarray, table: CouplerTable, theta: float, choose, sqfact):
-    """In-place beamsplitter application on a real state vector."""
-    blocks = make_blocks(theta, table.n, choose, sqfact)
+    ``amps`` is one state of shape (dim,) or k states as the columns of a
+    (dim, k) matrix; ``blocks`` is one coupler's block set from
+    :func:`make_blocks`.
+    """
     for t, members in table.views:
         b = blocks[t, : t + 1, : t + 1]
-        amps[members] = amps[members] @ b.T
+        group = amps[members]
+        amps[members] = group @ b.T if amps.ndim == 1 else b @ group

@@ -26,6 +26,7 @@ from .fock import (
     get_basis,
     get_coupler_table,
 )
+from . import _evolve_kernels
 from ._evolve_kernels import apply_coupler
 from .interferometer import (
     CircuitLayout,
@@ -205,11 +206,16 @@ class EvalLedger:
         self.handle = handle
         self.budget = budget
         self.sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-        self.memo: dict[int, float] = {}
+        self.memo: dict[int | bytes, float] = {}
         self.call_count = 0
         self.best_native: Optional[float] = None
         self.best_bits: Optional[tuple[int, ...]] = None
-        self._pow2 = 1 << np.arange(handle.size - 1, -1, -1, dtype=np.int64)
+        # integer keys while they fit an int64, packed row bytes beyond
+        self._pow2 = (
+            1 << np.arange(handle.size - 1, -1, -1, dtype=np.int64)
+            if handle.size <= 62
+            else None
+        )
 
     @property
     def unique_count(self) -> int:
@@ -222,7 +228,10 @@ class EvalLedger:
     def evaluate_batch(self, bits_mat: np.ndarray) -> np.ndarray:
         """Evaluate candidates, returning costs in minimization sense."""
         bits_mat = np.asarray(bits_mat, dtype=np.uint8)
-        keys = bits_mat.astype(np.int64) @ self._pow2
+        if self._pow2 is not None:
+            keys = (bits_mat.astype(np.int64) @ self._pow2).tolist()
+        else:
+            keys = [row.tobytes() for row in np.packbits(bits_mat, axis=1)]
         costs = np.asarray(self.handle.batch(bits_mat), dtype=float)
         if not np.isfinite(costs).all():
             raise ValueError("cost function returned a non-finite value")
@@ -232,7 +241,7 @@ class EvalLedger:
                 f"budget exceeded: {self.call_count} > {self.budget}"
             )
         memo = self.memo
-        for key, cost in zip(keys.tolist(), costs.tolist()):
+        for key, cost in zip(keys, costs.tolist()):
             if key not in memo:
                 memo[key] = cost
         idx = int(np.argmax(costs)) if self.sign < 0 else int(np.argmin(costs))
@@ -277,14 +286,38 @@ def _flip_bits(raw, probs, rng, force_index=None, force_up=False, uniforms=None)
     return raw ^ flips.astype(np.uint8), uniforms
 
 
-class _TileRuntime:
-    """Per-tile circuit state: prefix-cached evolution or per-sample unitary."""
+def evolve_states(states: np.ndarray, tables, blocks: np.ndarray, shifted: bool = False):
+    """Push ``states[:, 0]`` (or a 1-D ``states``) through every coupler in place.
 
-    def __init__(self, layout: CircuitLayout, backend: str, max_dim: int):
+    ``blocks[c]`` is coupler c's block set. With ``shifted``, ``blocks``
+    also holds every coupler's blocks at theta_c + s, then at theta_c - s,
+    and ``states`` has 2T + 1 columns: column 2c + 1 (2c + 2) becomes the
+    output with coupler c at theta_c + s (theta_c - s) and every other
+    coupler unshifted. Each coupler is applied once to every column that
+    needs it, so the whole pass is 3T coupler applications.
+    """
+    count = len(tables)
+    for c, table in enumerate(tables):
+        if shifted:
+            up, down = 2 * c + 1, 2 * c + 2
+            states[:, up] = states[:, 0]
+            states[:, down] = states[:, 0]
+            apply_coupler(states[:, up], table, blocks[count + c])
+            apply_coupler(states[:, down], table, blocks[2 * count + c])
+            apply_coupler(states[:, :up], table, blocks[c])
+        else:
+            apply_coupler(states, table, blocks[c])
+
+
+class _TileRuntime:
+    """Per-tile circuit state: every shift-rule CDF at once, or per-sample unitary."""
+
+    def __init__(self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = math.pi / 2):
         self.layout = layout
         self.m = layout.modes
         self.input = input_pattern(self.m)
         self.n = int(self.input.sum())
+        self.shift = shift
         self.backend = resolve_backend(backend, self.m, self.n, max_dim)
         self.thetas: Optional[np.ndarray] = None
         if self.backend == "statevector":
@@ -299,48 +332,46 @@ class _TileRuntime:
                 get_coupler_table(self.basis, a - 1, b - 1) for a, b in layout.couplers
             ]
             self.input_index = self.basis.rank(self.input)
-            self.prefix = np.zeros((layout.coupler_count + 1, self.basis.dim))
-            self.base_cdf: Optional[np.ndarray] = None
+            # column 0: base CDF; columns 2c+1, 2c+2: coupler c shifted by +s, -s
+            self.cdfs = np.zeros((dim, 2 * layout.coupler_count + 1))
         else:
             self.base_u: Optional[np.ndarray] = None
 
     def set_thetas(self, thetas: np.ndarray):
         self.thetas = np.asarray(thetas, dtype=float)
         if self.backend == "statevector":
-            basis = self.basis
-            self.prefix[0] = 0.0
-            self.prefix[0, self.input_index] = 1.0
-            for c, theta in enumerate(self.thetas):
-                self.prefix[c + 1] = self.prefix[c]
-                apply_coupler(
-                    self.prefix[c + 1], self.tables[c], theta, basis.choose_f, basis.sqfact
-                )
-            self.base_cdf = np.cumsum(self.prefix[-1] ** 2)
+            t, s = self.thetas, self.shift
+            blocks = _evolve_kernels.make_blocks(
+                np.concatenate((t, t + s, t - s)), self.basis.block_coef
+            )
+            states = self.cdfs
+            states.fill(0.0)
+            states[self.input_index, 0] = 1.0
+            evolve_states(states, self.tables, blocks, shifted=True)
+            np.square(states, out=states)
+            np.cumsum(states, axis=0, out=states)
         else:
             self.base_u = circuit_unitary(self.layout, self.thetas)
 
-    def shifted_cdf(self, local_c: int, theta_val: float) -> np.ndarray:
-        basis = self.basis
-        amps = self.prefix[local_c].copy()
-        apply_coupler(amps, self.tables[local_c], theta_val, basis.choose_f, basis.sqfact)
-        for c in range(local_c + 1, len(self.tables)):
-            apply_coupler(amps, self.tables[c], self.thetas[c], basis.choose_f, basis.sqfact)
-        return np.cumsum(amps**2)
+    def shifted_cdf(self, local_c: int, up: bool) -> np.ndarray:
+        return self.cdfs[:, 2 * local_c + (1 if up else 2)]
 
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
         return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
     def sample_base(self, rng, count: int) -> np.ndarray:
         if self.backend == "statevector":
-            return self._draw_from_cdf(self.base_cdf, rng, count)
+            return self._draw_from_cdf(self.cdfs[:, 0], rng, count)
         occ = sample_occupations_sequential(self.base_u, self.input, rng, count)
         return (occ > 0).astype(np.uint8)
 
-    def sample_shifted(self, local_c: int, theta_val: float, rng, count: int) -> np.ndarray:
+    def sample_shifted(self, local_c: int, up: bool, rng, count: int) -> np.ndarray:
+        """Samples with coupler ``local_c`` at theta + shift (``up``) or theta - shift."""
         if self.backend == "statevector":
-            return self._draw_from_cdf(self.shifted_cdf(local_c, theta_val), rng, count)
+            return self._draw_from_cdf(self.shifted_cdf(local_c, up), rng, count)
         shifted = self.thetas.copy()
-        shifted[local_c] = theta_val
+        base = shifted[local_c]
+        shifted[local_c] = base + self.shift if up else base - self.shift
         u = circuit_unitary(self.layout, shifted)
         occ = sample_occupations_sequential(u, self.input, rng, count)
         return (occ > 0).astype(np.uint8)
@@ -374,7 +405,7 @@ class _RunState:
         self.shift = shift
         self.scale = gradient_scale
         self.crn = crn
-        self.tiles = [_TileRuntime(l, backend, max_dim) for l in plan.layouts]
+        self.tiles = [_TileRuntime(l, backend, max_dim, shift) for l in plan.layouts]
         self.slices = plan.theta_slices()
         # map global coupler index -> (tile index, local index)
         self.coupler_map = [
@@ -389,11 +420,11 @@ class _RunState:
         for tile, sl in zip(self.tiles, self.slices):
             tile.set_thetas(self.params.thetas[sl])
 
-    def _draw_raw(self, shifted_tile=None, local_c=None, theta_val=None) -> np.ndarray:
+    def _draw_raw(self, shifted_tile=None, local_c=None, up=True) -> np.ndarray:
         cols = []
         for t, tile in enumerate(self.tiles):
             if t == shifted_tile:
-                cols.append(tile.sample_shifted(local_c, theta_val, self.rng, self.samples))
+                cols.append(tile.sample_shifted(local_c, up, self.rng, self.samples))
             else:
                 cols.append(tile.sample_base(self.rng, self.samples))
         return np.concatenate(cols, axis=1)
@@ -410,10 +441,9 @@ class _RunState:
 
     def theta_gradient(self, index: int) -> float:
         t, local_c = self.coupler_map[index]
-        base = self.params.thetas[self.slices[t]][local_c]
         means = []
-        for theta_val in (base + self.shift, base - self.shift):
-            raw = self._draw_raw(shifted_tile=t, local_c=local_c, theta_val=theta_val)
+        for up in (True, False):
+            raw = self._draw_raw(shifted_tile=t, local_c=local_c, up=up)
             candidates, _ = self._flip(raw)
             means.append(float(self.ledger.evaluate_batch(candidates).mean()))
         return shift_rule_value(means[0], means[1], self.shift, self.scale)

@@ -13,12 +13,13 @@ is part of the serialization format and must not change.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from ._accel import maybe_njit
-from ._evolve_kernels import CouplerTable, apply_coupler
+from ._evolve_kernels import CouplerTable, block_coefficients, make_blocks
 from .interferometer import CircuitLayout
 
 DEFAULT_MAX_DIM = 1_000_000
@@ -69,10 +70,6 @@ class FockBasis:
             for b in range(1, a + 1):
                 choose[a, b] = choose[a - 1, b - 1] + choose[a - 1, b]
         self.choose = choose
-        self.choose_f = choose.astype(np.float64)
-        self.sqfact = np.sqrt(
-            np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1))))
-        )
         patterns = np.empty((self.dim, m), dtype=np.int8)
         if n == 0:
             patterns[:] = 0
@@ -80,6 +77,11 @@ class FockBasis:
             _fill_patterns(patterns, m, n)
         self.patterns = patterns
         self.thresholded = (patterns > 0).astype(np.uint8)
+
+    @cached_property
+    def block_coef(self) -> np.ndarray:
+        """Beamsplitter block coefficients for n photons, built on first use."""
+        return block_coefficients(self.n)
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized rank of each occupation row (shape (B, m))."""
@@ -173,12 +175,15 @@ def evolve(
             f"Fock dimension {dim} exceeds bound {max_dim} for m={m}, n={n}; "
             f"use the sequential sampler backend"
         )
+    # the engine owns the one coupler-by-coupler evolution; imported here
+    # because the engine itself imports this module
+    from .engine import evolve_states
+
     basis = get_basis(m, n)
     amps = np.zeros(dim)
     amps[basis.rank(pat)] = 1.0
-    for (a, b), theta in zip(layout.couplers, thetas):
-        table = get_coupler_table(basis, a - 1, b - 1)
-        apply_coupler(amps, table, theta, basis.choose_f, basis.sqfact)
+    tables = [get_coupler_table(basis, a - 1, b - 1) for a, b in layout.couplers]
+    evolve_states(amps, tables, make_blocks(thetas, basis.block_coef))
     return FockStateVector(m, n, amps)
 
 

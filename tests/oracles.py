@@ -5,7 +5,7 @@ and shares no code with the production paths it checks.
 """
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -98,3 +98,28 @@ def empirical_distribution(rows: np.ndarray) -> dict:
 
 def factorial_check(n: int) -> int:
     return factorial(n)
+
+
+def beamsplitter_blocks(theta: float, n: int) -> np.ndarray:
+    """Pair-space beamsplitter blocks by direct expansion, one entry at a time.
+
+    out[t, kp, k] is the amplitude for |k, t-k> -> |kp, t-kp> under the mode
+    rotation a_i -> c*a_i + s*a_j, a_j -> -s*a_i + c*a_j with c = cos(theta)
+    and s = sin(theta): expand (c a_i^+ - s a_j^+)^k (s a_i^+ + c a_j^+)^(t-k)
+    binomially and normalise by the occupation factorials.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    sqfact = [np.sqrt(float(factorial(v))) for v in range(n + 1)]
+    out = np.zeros((n + 1, n + 1, n + 1))
+    for t in range(n + 1):
+        for k in range(t + 1):
+            l = t - k
+            for kp in range(t + 1):
+                lp = t - kp
+                acc = 0.0
+                for q in range(max(kp - k, 0), min(l, kp) + 1):
+                    p = kp - q
+                    term = comb(k, p) * comb(l, q) * ct ** (p + l - q) * st ** (k - p + q)
+                    acc += -term if q & 1 else term
+                out[t, kp, k] = acc * sqfact[kp] * sqfact[lp] / (sqfact[k] * sqfact[l])
+    return out

@@ -51,7 +51,9 @@ def _report(number, text):
 requires_accel = pytest.mark.skipif(
     not NUMBA_ENABLED,
     reason="full-budget suite; the numpy fallback computes identical runs "
-    "(covered by parity and small-budget tests) but needs hours here",
+    "(covered by parity and small-budget tests); its 550k-call SA and HC "
+    "runs take about 8 s per knapsack instance, so criteria 8, 9 and 11 "
+    "together take about 7 min (measured on a 2-core Xeon)",
 )
 
 
@@ -238,7 +240,6 @@ def test_criterion_06_reachability_uniform():
     _report(6, f"p=1/2 candidate distribution TV from uniform = {tv:.5f} < 0.02")
 
 
-@requires_accel
 def test_criterion_07_desk_scale_table(table1_suites):
     for kind, result in table1_suites.items():
         row = result.rows[0]
@@ -321,7 +322,6 @@ def test_criterion_09_baseline_parity(baseline_suite):
     _report(9, f"SA/HC optimum rates at budget 550,000: {rates}")
 
 
-@requires_accel
 def test_criterion_10_hardware_emulation(hardware_suites):
     summary = {}
     for kind, result in hardware_suites.items():

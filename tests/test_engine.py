@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bbsolve import engine
 from bbsolve.engine import (
     BbsConfig,
     BbsParams,
     EvalLedger,
+    _TileRuntime,
     _transient_state,
     apply_bitflips,
     budget_bound,
@@ -204,6 +206,16 @@ class TestEvalLedger:
         ledger.evaluate_batch(rng.integers(0, 2, size=(64, 5)).astype(np.uint8))
         assert ledger.best_native == min(ledger.memo.values())
 
+    @pytest.mark.parametrize("m", [62, 63, 64, 70])
+    def test_keys_distinct_past_int64(self, m):
+        # the zero string and every single-bit string: m + 1 distinct keys
+        bits = np.vstack([np.zeros(m), np.eye(m)]).astype(np.uint8)
+        ledger = EvalLedger(constant_handle(m))
+        ledger.evaluate_batch(bits)
+        ledger.evaluate_batch(bits[::-1])
+        assert ledger.call_count == 2 * (m + 1)
+        assert ledger.unique_count == m + 1
+
 
 class TestEstimateMeanCost:
     def test_constant_cost(self):
@@ -281,6 +293,75 @@ class TestGradTheta:
         ledger = EvalLedger(handle)
         grad_theta(plan, params, 1, handle, 25, math.pi / 2, np.random.default_rng(6), ledger)
         assert ledger.call_count == 50
+
+
+def _exact_cdf(layout, thetas):
+    state = evolve(input_pattern(layout.modes), layout, thetas)
+    return np.cumsum(state.amplitudes**2)
+
+
+def _shifted(thetas, c, delta):
+    out = np.array(thetas, dtype=float)
+    out[c] += delta
+    return out
+
+
+class TestShiftedCdfs:
+    """Every batched shift-rule CDF equals the CDF of a separate evolution."""
+
+    def check_tiles(self, plan, shift):
+        params = init_params(plan, np.random.default_rng(3))
+        state, _ = _transient_state(
+            plan, params, constant_handle(plan.size), 1, np.random.default_rng(4), shift=shift
+        )
+        for tile, sl in zip(state.tiles, plan.theta_slices()):
+            thetas = params.thetas[sl]
+            exact = _exact_cdf(tile.layout, thetas)
+            np.testing.assert_allclose(tile.cdfs[:, 0], exact, rtol=0, atol=1e-12)
+            for c in range(tile.layout.coupler_count):
+                for up, delta in ((True, shift), (False, -shift)):
+                    np.testing.assert_allclose(
+                        tile.shifted_cdf(c, up),
+                        _exact_cdf(tile.layout, _shifted(thetas, c, delta)),
+                        rtol=0,
+                        atol=1e-12,
+                    )
+
+    def test_untiled_plan(self):
+        self.check_tiles(make_plan(7, BbsConfig(updates=1, samples=1)), math.pi / 2)
+
+    def test_tiled_plan(self):
+        plan = make_plan(10, BbsConfig(updates=1, samples=1, loop_lengths=(1, 3), tile_size=5))
+        assert len(plan.layouts) == 2
+        self.check_tiles(plan, math.pi / 2)
+
+    def test_grad_theta_draws_from_shifted_cdfs(self, monkeypatch):
+        phi = 0.3
+        plan = make_plan(10, BbsConfig(updates=1, samples=1, loop_lengths=(1, 3), tile_size=5))
+        params = init_params(plan, np.random.default_rng(8))
+        seen = []
+        draw = _TileRuntime._draw_from_cdf
+
+        def spy(tile, cdf, rng, count):
+            seen.append((tile.layout, cdf.copy()))
+            return draw(tile, cdf, rng, count)
+
+        monkeypatch.setattr(_TileRuntime, "_draw_from_cdf", spy)
+        local_c = 2
+        index = plan.theta_counts[0] + local_c
+        grad_theta(plan, params, index, onesum_handle(10), 5, phi, np.random.default_rng(9))
+        slices = plan.theta_slices()
+        expected = []
+        for delta in (phi, -phi):
+            for t, layout in enumerate(plan.layouts):
+                thetas = params.thetas[slices[t]]
+                if t == 1:
+                    thetas = _shifted(thetas, local_c, delta)
+                expected.append((layout, _exact_cdf(layout, thetas)))
+        assert len(seen) == len(expected) == 4
+        for (layout, cdf), (want_layout, want) in zip(seen, expected):
+            assert layout is want_layout
+            np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-12)
 
 
 class TestGradAlpha:
@@ -368,6 +449,39 @@ class TestReachability:
 
 class TestRunBbs:
     CFG = BbsConfig(updates=12, samples=6, seed=42, loop_lengths=(1, 3))
+
+    def test_seeded_trajectory_pinned(self, monkeypatch):
+        # recorded when every shifted circuit was evolved on its own; the
+        # batched evolution must keep every draw, and so every value, equal
+        updates = []
+        step = engine.sgd_update
+
+        def spy(*args, **kwargs):
+            updates.append(step(*args, **kwargs))
+            return updates[-1]
+
+        monkeypatch.setattr(engine, "sgd_update", spy)
+        handle = knapsack_handle(gen_knapsack(10, np.random.default_rng(2024)))
+        result = run_bbs(handle, BbsConfig(updates=3, samples=50, seed=11))
+        assert result.trace.losses == [-4.88, 5.22, -63.2]
+        assert result.trace.best_costs == [-450.0, -450.0, -450.0]
+        assert result.best_cost == 450.0
+        assert result.best_bits == (1, 1, 0, 1, 1, 1, 0, 1, 1, 1)
+        assert (result.calls, result.unique_evals, result.budget) == (8250, 1021, 8250)
+        assert updates[-1].thetas.tolist() == [
+            -0.1679695910194648, 4.1076553294837606, 3.980325642911732,
+            0.7996583558801542, 0.9474470011656759, 6.001721861426727,
+            -0.9649344705848293, 0.6783937721203361, 6.321923404103224,
+            5.491209853034285, 3.015452173469322, 3.312758271232508,
+            4.28116510022109, 1.201216306127339, 1.8474789682975363,
+            4.7163988016632405, 3.9955997725450514,
+        ]
+        assert updates[-1].alphas.tolist() == [
+            0.12224617102251589, 1.4724764462751259, 0.6248849539473427,
+            -1.2182932186283824, 0.8544168905681352, 1.377585609741615,
+            -3.41391185543361, -0.4884007480847294, -0.08114763835582911,
+            -1.0239460978686648,
+        ]
 
     def test_finds_small_knapsack_optimum(self):
         inst = gen_knapsack(6, np.random.default_rng(0))

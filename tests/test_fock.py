@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from bbsolve._evolve_kernels import block_coefficients, make_blocks
 from bbsolve.fock import (
     FockDimensionError,
     distribution_to_json,
@@ -15,7 +16,7 @@ from bbsolve.fock import (
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from bbsolve.permanents import exact_distribution, pattern_probability, permanent
 
-from oracles import perm_definition
+from oracles import beamsplitter_blocks, perm_definition
 
 
 class TestBasis:
@@ -148,6 +149,36 @@ class TestOutputDistribution:
             {"pattern": [0, 1], "probability": pytest.approx(0.5)},
             {"pattern": [1, 0], "probability": pytest.approx(0.5)},
         ]
+
+
+class TestBeamsplitterBlocks:
+    @pytest.mark.parametrize("n", range(13))
+    def test_tensor_matches_direct_expansion(self, n):
+        thetas = np.random.default_rng(n).uniform(-2 * np.pi, 2 * np.pi, 8)
+        blocks = make_blocks(thetas, block_coefficients(n))
+        assert blocks.shape == (8, n + 1, n + 1, n + 1)
+        for theta, got in zip(thetas, blocks):
+            np.testing.assert_allclose(got, beamsplitter_blocks(theta, n), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_each_block_orthogonal(self, n):
+        thetas = np.random.default_rng(100 + n).uniform(0, 2 * np.pi, 6)
+        for blocks in make_blocks(thetas, block_coefficients(n)):
+            for t in range(n + 1):
+                b = blocks[t, : t + 1, : t + 1]
+                np.testing.assert_allclose(b @ b.T, np.eye(t + 1), rtol=0, atol=1e-12)
+                assert not blocks[t, t + 1 :].any() and not blocks[t, :, t + 1 :].any()
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_zero_angle_is_identity(self, n):
+        blocks = make_blocks([0.0], block_coefficients(n))[0]
+        for t in range(n + 1):
+            np.testing.assert_array_equal(blocks[t, : t + 1, : t + 1], np.eye(t + 1))
+
+    def test_coefficients_cached_on_basis(self):
+        basis = get_basis(6, 3)
+        assert basis.block_coef is basis.block_coef
+        np.testing.assert_array_equal(basis.block_coef, block_coefficients(3))
 
 
 class TestPermanent:

@@ -312,7 +312,9 @@ def evolve_states(states: np.ndarray, tables, blocks: np.ndarray, shifted: bool 
 class _TileRuntime:
     """Per-tile circuit state: every shift-rule CDF at once, or per-sample unitary."""
 
-    def __init__(self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = math.pi / 2):
+    def __init__(
+        self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = math.pi / 2
+    ):
         self.layout = layout
         self.m = layout.modes
         self.input = input_pattern(self.m)

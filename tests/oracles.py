@@ -105,7 +105,7 @@ def beamsplitter_blocks(theta: float, n: int) -> np.ndarray:
 
     out[t, kp, k] is the amplitude for |k, t-k> -> |kp, t-kp> under the mode
     rotation a_i -> c*a_i + s*a_j, a_j -> -s*a_i + c*a_j with c = cos(theta)
-    and s = sin(theta): expand (c a_i^+ - s a_j^+)^k (s a_i^+ + c a_j^+)^(t-k)
+    and s = sin(theta): expand (c a_i^+ + s a_j^+)^k (-s a_i^+ + c a_j^+)^(t-k)
     binomially and normalise by the occupation factorials.
     """
     ct, st = np.cos(theta), np.sin(theta)

@@ -70,23 +70,32 @@ class CouplerTable:
                 continue
             width = t + 1
             work = pats[leaders].astype(np.int64)
-            members = np.empty((leaders.size, width), dtype=np.int64)
+            members = np.empty((width, leaders.size), dtype=np.int64)
             for kp in range(width):
                 work[:, i] = kp
                 work[:, j] = t - kp
-                members[:, kp] = basis.rank_rows(work)
+                members[kp] = basis.rank_rows(work)
             views.append((t, members))
-        self.views = views  # [(t, member index matrix)], one per pair total t
+        # [(t, member indices)], one per pair total t; members[kp, g] is the
+        # basis index of |kp, t - kp> in sibling group g
+        self.views = views
 
 
 def apply_coupler(amps: np.ndarray, table: CouplerTable, blocks: np.ndarray):
     """In-place beamsplitter application on real states.
 
-    ``amps`` is one state of shape (dim,) or k states as the columns of a
-    (dim, k) matrix; ``blocks`` is one coupler's block set from
+    ``amps`` is one state of shape (dim,) or k states as the rows of a
+    (k, dim) matrix; ``blocks`` is one coupler's block set from
     :func:`make_blocks`.
     """
     for t, members in table.views:
-        b = blocks[t, : t + 1, : t + 1]
-        group = amps[members]
-        amps[members] = group @ b.T if amps.ndim == 1 else b @ group
+        amps[..., members] = blocks[t, : t + 1, : t + 1] @ amps[..., members]
+
+
+def apply_circuit(amps: np.ndarray, tables, blocks: np.ndarray):
+    """Push ``amps`` through every coupler in order, in place.
+
+    ``blocks[c]`` is the block set of the coupler ``tables[c]`` indexes.
+    """
+    for table, block in zip(tables, blocks):
+        apply_coupler(amps, table, block)

@@ -206,16 +206,12 @@ class EvalLedger:
         self.handle = handle
         self.budget = budget
         self.sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-        self.memo: dict[int | bytes, float] = {}
+        self.memo: dict[bytes, float] = {}
         self.call_count = 0
         self.best_native: Optional[float] = None
         self.best_bits: Optional[tuple[int, ...]] = None
-        # integer keys while they fit an int64, packed row bytes beyond
-        self._pow2 = (
-            1 << np.arange(handle.size - 1, -1, -1, dtype=np.int64)
-            if handle.size <= 62
-            else None
-        )
+        # a candidate's key is its bit string packed into bytes
+        self._key_dtype = np.dtype((np.void, (handle.size + 7) // 8))
 
     @property
     def unique_count(self) -> int:
@@ -228,10 +224,7 @@ class EvalLedger:
     def evaluate_batch(self, bits_mat: np.ndarray) -> np.ndarray:
         """Evaluate candidates, returning costs in minimization sense."""
         bits_mat = np.asarray(bits_mat, dtype=np.uint8)
-        if self._pow2 is not None:
-            keys = (bits_mat.astype(np.int64) @ self._pow2).tolist()
-        else:
-            keys = [row.tobytes() for row in np.packbits(bits_mat, axis=1)]
+        keys = np.packbits(bits_mat, axis=1).view(self._key_dtype).ravel().tolist()
         costs = np.asarray(self.handle.batch(bits_mat), dtype=float)
         if not np.isfinite(costs).all():
             raise ValueError("cost function returned a non-finite value")
@@ -286,27 +279,33 @@ def _flip_bits(raw, probs, rng, force_index=None, force_up=False, uniforms=None)
     return raw ^ flips.astype(np.uint8), uniforms
 
 
-def evolve_states(states: np.ndarray, tables, blocks: np.ndarray, shifted: bool = False):
-    """Push ``states[:, 0]`` (or a 1-D ``states``) through every coupler in place.
+# a shared coupler takes at most this many floats of states (4 MB) per
+# application, but at least one row: this bounds the copies it makes
+_CHUNK_FLOATS = 1 << 19
 
-    ``blocks[c]`` is coupler c's block set. With ``shifted``, ``blocks``
-    also holds every coupler's blocks at theta_c + s, then at theta_c - s,
-    and ``states`` has 2T + 1 columns: column 2c + 1 (2c + 2) becomes the
-    output with coupler c at theta_c + s (theta_c - s) and every other
-    coupler unshifted. Each coupler is applied once to every column that
-    needs it, so the whole pass is 3T coupler applications.
+
+def evolve_states(states: np.ndarray, tables, blocks: np.ndarray):
+    """Evolve a base state and all its shift-rule states in place.
+
+    ``states`` has 2T + 1 rows, row 0 holding the input state. ``blocks``
+    holds every coupler's block set at theta_c, then at theta_c + s, then
+    at theta_c - s. Row 0 becomes the circuit output, and row 2c + 1
+    (2c + 2) the output with coupler c at theta_c + s (theta_c - s) and
+    every other coupler unshifted. Each coupler is applied once to every
+    row that needs it. Small states take it in one application, so the
+    whole pass is 3T applications; large ones a few rows at a time, which
+    bounds the copies an application makes.
     """
     count = len(tables)
+    chunk = max(1, _CHUNK_FLOATS // states.shape[1])
     for c, table in enumerate(tables):
-        if shifted:
-            up, down = 2 * c + 1, 2 * c + 2
-            states[:, up] = states[:, 0]
-            states[:, down] = states[:, 0]
-            apply_coupler(states[:, up], table, blocks[count + c])
-            apply_coupler(states[:, down], table, blocks[2 * count + c])
-            apply_coupler(states[:, :up], table, blocks[c])
-        else:
-            apply_coupler(states, table, blocks[c])
+        up, down = 2 * c + 1, 2 * c + 2
+        states[up] = states[0]
+        states[down] = states[0]
+        apply_coupler(states[up], table, blocks[count + c])
+        apply_coupler(states[down], table, blocks[2 * count + c])
+        for lo in range(0, up, chunk):
+            apply_coupler(states[lo : min(lo + chunk, up)], table, blocks[c])
 
 
 class _TileRuntime:
@@ -334,8 +333,8 @@ class _TileRuntime:
                 get_coupler_table(self.basis, a - 1, b - 1) for a, b in layout.couplers
             ]
             self.input_index = self.basis.rank(self.input)
-            # column 0: base CDF; columns 2c+1, 2c+2: coupler c shifted by +s, -s
-            self.cdfs = np.zeros((dim, 2 * layout.coupler_count + 1))
+            # row 0: base CDF; rows 2c+1, 2c+2: coupler c shifted by +s, -s
+            self.cdfs = np.zeros((2 * layout.coupler_count + 1, dim))
         else:
             self.base_u: Optional[np.ndarray] = None
 
@@ -347,23 +346,24 @@ class _TileRuntime:
                 np.concatenate((t, t + s, t - s)), self.basis.block_coef
             )
             states = self.cdfs
-            states.fill(0.0)
-            states[self.input_index, 0] = 1.0
-            evolve_states(states, self.tables, blocks, shifted=True)
+            # evolve_states overwrites every other row from row 0
+            states[0] = 0.0
+            states[0, self.input_index] = 1.0
+            evolve_states(states, self.tables, blocks)
             np.square(states, out=states)
-            np.cumsum(states, axis=0, out=states)
+            np.cumsum(states, axis=1, out=states)
         else:
             self.base_u = circuit_unitary(self.layout, self.thetas)
 
     def shifted_cdf(self, local_c: int, up: bool) -> np.ndarray:
-        return self.cdfs[:, 2 * local_c + (1 if up else 2)]
+        return self.cdfs[2 * local_c + (1 if up else 2)]
 
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
         return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
     def sample_base(self, rng, count: int) -> np.ndarray:
         if self.backend == "statevector":
-            return self._draw_from_cdf(self.cdfs[:, 0], rng, count)
+            return self._draw_from_cdf(self.cdfs[0], rng, count)
         occ = sample_occupations_sequential(self.base_u, self.input, rng, count)
         return (occ > 0).astype(np.uint8)
 

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from ._accel import maybe_njit
-from ._evolve_kernels import CouplerTable, block_coefficients, make_blocks
+from ._evolve_kernels import CouplerTable, apply_circuit, block_coefficients, make_blocks
 from .interferometer import CircuitLayout
 
 DEFAULT_MAX_DIM = 1_000_000
@@ -175,15 +175,11 @@ def evolve(
             f"Fock dimension {dim} exceeds bound {max_dim} for m={m}, n={n}; "
             f"use the sequential sampler backend"
         )
-    # the engine owns the one coupler-by-coupler evolution; imported here
-    # because the engine itself imports this module
-    from .engine import evolve_states
-
     basis = get_basis(m, n)
     amps = np.zeros(dim)
     amps[basis.rank(pat)] = 1.0
     tables = [get_coupler_table(basis, a - 1, b - 1) for a, b in layout.couplers]
-    evolve_states(amps, tables, make_blocks(thetas, basis.block_coef))
+    apply_circuit(amps, tables, make_blocks(thetas, basis.block_coef))
     return FockStateVector(m, n, amps)
 
 

@@ -23,7 +23,7 @@ from bbsolve.engine import (
     sgd_update,
     sigmoid,
 )
-from bbsolve.fock import evolve, output_distribution
+from bbsolve.fock import evolve, fock_dim, output_distribution
 from bbsolve.interferometer import build_layout, input_pattern
 from bbsolve.problems import (
     CostFunctionHandle,
@@ -317,7 +317,7 @@ class TestShiftedCdfs:
         for tile, sl in zip(state.tiles, plan.theta_slices()):
             thetas = params.thetas[sl]
             exact = _exact_cdf(tile.layout, thetas)
-            np.testing.assert_allclose(tile.cdfs[:, 0], exact, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tile.cdfs[0], exact, rtol=0, atol=1e-12)
             for c in range(tile.layout.coupler_count):
                 for up, delta in ((True, shift), (False, -shift)):
                     np.testing.assert_allclose(
@@ -334,6 +334,26 @@ class TestShiftedCdfs:
         plan = make_plan(10, BbsConfig(updates=1, samples=1, loop_lengths=(1, 3), tile_size=5))
         assert len(plan.layouts) == 2
         self.check_tiles(plan, math.pi / 2)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_shared_coupler_in_row_chunks(self, monkeypatch, rows):
+        # a state this small normally takes each coupler in one application
+        plan = make_plan(7, BbsConfig(updates=1, samples=1))
+        dim = fock_dim(7, int(input_pattern(7).sum()))
+        monkeypatch.setattr(engine, "_CHUNK_FLOATS", rows * dim)
+        calls = []
+        apply = engine.apply_coupler
+
+        def spy(amps, table, blocks):
+            calls.append(amps.shape)
+            apply(amps, table, blocks)
+
+        monkeypatch.setattr(engine, "apply_coupler", spy)
+        self.check_tiles(plan, math.pi / 2)
+        count = plan.theta_counts[0]
+        # per coupler c: the two shifted rows, then rows 0..2c in chunks
+        assert len(calls) == sum(2 + -(-(2 * c + 1) // rows) for c in range(count))
+        assert max(shape[0] for shape in calls if len(shape) == 2) == rows
 
     def test_grad_theta_draws_from_shifted_cdfs(self, monkeypatch):
         phi = 0.3

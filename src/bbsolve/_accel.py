@@ -6,11 +6,9 @@ implementation. The decorated kernels are the Fock pattern enumeration
 (``fock._fill_patterns``), the sequential sampler with its real Ryser
 permanent (``sampling._sequential_kernel``, ``_perm_real``), the packed
 single-candidate cost (``_cost_kernels.eval_one``) and the SA/HC search
-loops. Only ``baselines`` also branches on :data:`NUMBA_ENABLED`: when on,
-it runs the compiled SA/HC kernels on ``handle.pack``; otherwise its Python
-loops on ``handle.eval``, which the tests use as the reference.
-Setting ``BBS_NO_NUMBA=1`` turns compilation off. The flag is read once at
-import time.
+loops. No other module reads :data:`NUMBA_ENABLED`. Setting
+``BBS_NO_NUMBA=1`` turns compilation off. The flag is read once at import
+time.
 """
 
 import os

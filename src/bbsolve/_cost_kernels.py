@@ -2,7 +2,8 @@
 
 For the baselines' search loops, each problem kind is packed into flat
 integer/float parameter arrays so a compiled loop can evaluate candidates
-without Python callbacks. Layouts:
+without Python callbacks; ``eval_one`` returns exactly what the handle's
+``eval`` returns. Layouts:
 
 * knapsack:       ints = [n, W, v_1..v_n, w_1..w_n]
 * deconfliction:  ints = [N, K, CM flattened row-major (m*m)]
@@ -22,6 +23,29 @@ from ._accel import maybe_njit
 KIND_KNAPSACK = 0
 KIND_DECONFLICTION = 1
 KIND_TSP = 2
+
+
+@maybe_njit(cache=True)
+def _numpy_sum(a):
+    """``np.sum`` of a 1-D float64 array of under 128 entries, in numpy's
+    order: left to right below 8 entries, else eight running partial sums
+    combined pairwise, then the remainder left to right."""
+    n = a.shape[0]
+    if n < 8:
+        total = 0.0
+        for i in range(n):
+            total += a[i]
+        return total
+    r = a[:8].copy()
+    i = 8
+    while i + 8 <= n:
+        for j in range(8):
+            r[j] += a[i + j]
+        i += 8
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(i, n):
+        total += a[j]
+    return total
 
 
 @maybe_njit(cache=True)
@@ -77,7 +101,7 @@ def eval_one(kind, ints, floats, bits):
     size = n_perm
     prev_x = floats[0]
     prev_y = floats[1]
-    length = 0.0
+    legs = np.empty(n_pts, dtype=np.float64)
     for i in range(n_perm):
         f = ints[2 + n_perm - 1 - i]
         d = k // f
@@ -90,12 +114,20 @@ def eval_one(kind, ints, floats, bits):
         y = floats[2 * pick + 1]
         dx = x - prev_x
         dy = y - prev_y
-        length += np.sqrt(dx * dx + dy * dy)
+        legs[i] = np.sqrt(dx * dx + dy * dy)
         prev_x = x
         prev_y = y
     dx = floats[0] - prev_x
     dy = floats[1] - prev_y
-    return length + np.sqrt(dx * dx + dy * dy)
+    legs[n_perm] = np.sqrt(dx * dx + dy * dy)
+    return _numpy_sum(legs)
+
+
+@maybe_njit(cache=True)
+def eval_packed(pack, bits):
+    """``eval_one`` on a handle's ``pack`` tuple, the cost the compiled
+    search loops call."""
+    return eval_one(pack[0], pack[1], pack[2], bits)
 
 
 def knapsack_batch(values, weights, capacity, bits_mat):

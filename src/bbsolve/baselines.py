@@ -3,18 +3,24 @@
 Both searches count one call per candidate evaluation with no cache,
 mirroring how the training ledger counts, and stop at exactly the call
 budget R. Randomness is pre-drawn from the caller's Generator into flat
-arrays consumed in a fixed order, so the compiled fast path (available when
-the cost function carries a packed kernel form) and the generic Python path
-walk identical trajectories.
+arrays consumed in a fixed order.
+
+Each search is one loop, ``_hc_kernel`` or ``_sa_kernel``, whose first
+argument is the cost function, called as ``cost(args, bits)``. A handle
+with a packed form passes ``_cost_kernels.eval_packed`` and its ``pack``,
+so with numba the whole search runs compiled. A handle without one (a
+custom handle, or TSP from 22 points) passes a wrapper around
+``handle.eval`` to the loop's uncompiled source. Without numba both run
+the same Python source.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit
+from ._accel import maybe_njit
 from . import _cost_kernels as ck
 from .problems import SENSE_MAX, CostFunctionHandle
 
@@ -38,6 +44,9 @@ class BaselineResult:
     calls: int
     seed: Optional[int] = None
     budget: Optional[int] = None
+    # search diagnostics, not part of the JSON record: hill climbing counts
+    # "restarts" and "local_optima", annealing "uphill_accepted"
+    counters: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -50,6 +59,18 @@ class BaselineResult:
         }
 
 
+def _eval_handle(eval_fn, bits):
+    return float(eval_fn(bits))
+
+
+def _search(kernel, handle: CostFunctionHandle):
+    """Loop, cost and cost arguments for ``handle``: the kernel on the packed
+    cost, or the kernel's Python source on ``handle.eval``."""
+    if handle.pack is None:
+        return getattr(kernel, "py_func", kernel), _eval_handle, handle.eval
+    return kernel, ck.eval_packed, handle.pack
+
+
 # ---------------------------------------------------------------------------
 # hill climbing with restarts (first-improvement, hard stop at R)
 # ---------------------------------------------------------------------------
@@ -59,21 +80,21 @@ class BaselineResult:
 # evaluations, so 2R + m draws can never run out.
 
 
-def _hc_python(eval_fn, m, budget, pool, record_restarts=None):
+@maybe_njit(cache=True)
+def _hc_kernel(cost, args, sign, m, budget, pool, out_bits, counts):
+    """counts[0] += restarts, counts[1] += strings abandoned as local optima."""
     cursor = 0
-    best_cost = math.inf
-    best_bits = None
+    best_cost = np.inf
     calls = 0
     bits = np.zeros(m, dtype=np.uint8)
-    untried = np.arange(m)
+    untried = np.empty(m, dtype=np.int64)
     while calls < budget:
         for b in range(m):
             bits[b] = 1 if pool[cursor + b] < 0.5 else 0
         cursor += m
-        current = eval_fn(bits)
+        current = sign * cost(args, bits)
         calls += 1
-        if record_restarts is not None:
-            record_restarts.append(("start", bits.copy(), current))
+        counts[0] += 1
         size = m
         untried[:] = np.arange(m)
         while size > 0 and calls < budget:
@@ -83,7 +104,7 @@ def _hc_python(eval_fn, m, budget, pool, record_restarts=None):
                 pick = size - 1
             bit = untried[pick]
             bits[bit] ^= 1
-            candidate = eval_fn(bits)
+            candidate = sign * cost(args, bits)
             calls += 1
             if candidate < current:
                 current = candidate
@@ -94,53 +115,11 @@ def _hc_python(eval_fn, m, budget, pool, record_restarts=None):
                 untried[pick] = untried[size - 1]
                 untried[size - 1] = bit
                 size -= 1
-        if size == 0 and record_restarts is not None:
-            record_restarts.append(("local_opt", bits.copy(), current))
+        if size == 0:
+            counts[1] += 1
         if current < best_cost:
             best_cost = current
-            best_bits = bits.copy()
-    return best_bits, best_cost, calls
-
-
-@maybe_njit(cache=True)
-def _hc_kernel(kind, ints, floats, sign, m, budget, pool, out_bits):
-    cursor = 0
-    best_cost = np.inf
-    calls = 0
-    bits = np.zeros(m, dtype=np.uint8)
-    untried = np.empty(m, dtype=np.int64)
-    while calls < budget:
-        for b in range(m):
-            bits[b] = 1 if pool[cursor + b] < 0.5 else 0
-        cursor += m
-        current = sign * ck.eval_one(kind, ints, floats, bits)
-        calls += 1
-        size = m
-        for b in range(m):
-            untried[b] = b
-        while size > 0 and calls < budget:
-            pick = int(pool[cursor] * size)
-            cursor += 1
-            if pick >= size:
-                pick = size - 1
-            bit = untried[pick]
-            bits[bit] ^= 1
-            candidate = sign * ck.eval_one(kind, ints, floats, bits)
-            calls += 1
-            if candidate < current:
-                current = candidate
-                size = m
-                for b in range(m):
-                    untried[b] = b
-            else:
-                bits[bit] ^= 1
-                untried[pick] = untried[size - 1]
-                untried[size - 1] = bit
-                size -= 1
-        if current < best_cost:
-            best_cost = current
-            for b in range(m):
-                out_bits[b] = bits[b]
+            out_bits[:] = bits
     return best_cost, calls
 
 
@@ -149,7 +128,6 @@ def hill_climb(
     budget: int,
     rng: np.random.Generator,
     seed: Optional[int] = None,
-    record_restarts: Optional[list] = None,
 ) -> BaselineResult:
     """First-improvement hill climbing with random restarts.
 
@@ -162,20 +140,17 @@ def hill_climb(
     m = handle.size
     pool = rng.random(2 * budget + m)
     sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-    if handle.pack is not None and NUMBA_ENABLED and record_restarts is None:
-        kind, ints, floats = handle.pack
-        out_bits = np.zeros(m, dtype=np.uint8)
-        best_cost, calls = _hc_kernel(kind, ints, floats, sign, m, budget, pool, out_bits)
-        best_bits = out_bits
-    else:
-        eval_fn = lambda bits: sign * float(handle.eval(bits))
-        best_bits, best_cost, calls = _hc_python(eval_fn, m, budget, pool, record_restarts)
+    loop, cost, args = _search(_hc_kernel, handle)
+    best_bits = np.zeros(m, dtype=np.uint8)
+    counts = np.zeros(2, dtype=np.int64)
+    best_cost, calls = loop(cost, args, sign, m, budget, pool, best_bits, counts)
     return BaselineResult(
         best_bits=tuple(int(b) for b in best_bits),
-        best_cost=sign * best_cost,
-        calls=calls,
+        best_cost=sign * float(best_cost),
+        calls=int(calls),
         seed=seed,
         budget=budget,
+        counters={"restarts": int(counts[0]), "local_optima": int(counts[1])},
     )
 
 
@@ -184,11 +159,16 @@ def hill_climb(
 # ---------------------------------------------------------------------------
 
 
-def _sa_python(eval_fn, m, budget, init_u, flip_idx, accept_u, t_max, t_min, stats=None):
-    bits = (init_u < 0.5).astype(np.uint8)
-    current = eval_fn(bits)
+@maybe_njit(cache=True)
+def _sa_kernel(cost, args, sign, m, budget, init_u, flip_idx, accept_u, t_max, t_min,
+               out_bits, counts):
+    """counts[0] += uphill moves accepted."""
+    bits = np.zeros(m, dtype=np.uint8)
+    for b in range(m):
+        bits[b] = 1 if init_u[b] < 0.5 else 0
+    current = sign * cost(args, bits)
     best_cost = current
-    best_bits = bits.copy()
+    out_bits[:] = bits
     moves = budget - 1
     if moves > 0:
         log_ratio = math.log(t_min / t_max)
@@ -197,45 +177,15 @@ def _sa_python(eval_fn, m, budget, init_u, flip_idx, accept_u, t_max, t_min, sta
             temp = t_max * math.exp(log_ratio * frac)
             bit = flip_idx[k]
             bits[bit] ^= 1
-            candidate = eval_fn(bits)
+            candidate = sign * cost(args, bits)
             delta = candidate - current
             if delta <= 0.0 or accept_u[k] < math.exp(-delta / temp):
-                if stats is not None and delta > 0.0:
-                    stats["uphill_accepted"] = stats.get("uphill_accepted", 0) + 1
+                if delta > 0.0:
+                    counts[0] += 1
                 current = candidate
                 if current < best_cost:
                     best_cost = current
-                    best_bits = bits.copy()
-            else:
-                bits[bit] ^= 1
-    return best_bits, best_cost, budget
-
-
-@maybe_njit(cache=True)
-def _sa_kernel(kind, ints, floats, sign, m, budget, init_u, flip_idx, accept_u, t_max, t_min, out_bits):
-    bits = np.zeros(m, dtype=np.uint8)
-    for b in range(m):
-        bits[b] = 1 if init_u[b] < 0.5 else 0
-    current = sign * ck.eval_one(kind, ints, floats, bits)
-    best_cost = current
-    for b in range(m):
-        out_bits[b] = bits[b]
-    moves = budget - 1
-    if moves > 0:
-        log_ratio = np.log(t_min / t_max)
-        for k in range(moves):
-            frac = k / (moves - 1) if moves > 1 else 1.0
-            temp = t_max * np.exp(log_ratio * frac)
-            bit = flip_idx[k]
-            bits[bit] ^= 1
-            candidate = sign * ck.eval_one(kind, ints, floats, bits)
-            delta = candidate - current
-            if delta <= 0.0 or accept_u[k] < np.exp(-delta / temp):
-                current = candidate
-                if current < best_cost:
-                    best_cost = current
-                    for b in range(m):
-                        out_bits[b] = bits[b]
+                    out_bits[:] = bits
             else:
                 bits[bit] ^= 1
     return best_cost, budget
@@ -247,7 +197,6 @@ def simulated_anneal(
     rng: np.random.Generator,
     schedule: Optional[AnnealSchedule] = None,
     seed: Optional[int] = None,
-    stats: Optional[dict] = None,
 ) -> BaselineResult:
     """Metropolis single-bit-flip annealing that consumes exactly R calls.
 
@@ -264,24 +213,18 @@ def simulated_anneal(
     flip_idx = rng.integers(0, m, size=max(budget - 1, 0))
     accept_u = rng.random(max(budget - 1, 0))
     sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-    if handle.pack is not None and NUMBA_ENABLED and stats is None:
-        kind, ints, floats = handle.pack
-        out_bits = np.zeros(m, dtype=np.uint8)
-        best_cost, calls = _sa_kernel(
-            kind, ints, floats, sign, m, budget, init_u, flip_idx, accept_u,
-            schedule.t_max, schedule.t_min, out_bits,
-        )
-        best_bits = out_bits
-    else:
-        eval_fn = lambda bits: sign * float(handle.eval(bits))
-        best_bits, best_cost, calls = _sa_python(
-            eval_fn, m, budget, init_u, flip_idx, accept_u,
-            schedule.t_max, schedule.t_min, stats,
-        )
+    loop, cost, args = _search(_sa_kernel, handle)
+    best_bits = np.zeros(m, dtype=np.uint8)
+    counts = np.zeros(1, dtype=np.int64)
+    best_cost, calls = loop(
+        cost, args, sign, m, budget, init_u, flip_idx, accept_u,
+        schedule.t_max, schedule.t_min, best_bits, counts,
+    )
     return BaselineResult(
         best_bits=tuple(int(b) for b in best_bits),
-        best_cost=sign * best_cost,
-        calls=calls,
+        best_cost=sign * float(best_cost),
+        calls=int(calls),
         seed=seed,
         budget=budget,
+        counters={"uphill_accepted": int(counts[0])},
     )

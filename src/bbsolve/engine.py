@@ -195,18 +195,18 @@ def budget_bound(
 
 
 class EvalLedger:
-    """Memoizing cost-call counter with global best tracking.
+    """Cost-call counter with unique-candidate and global best tracking.
 
-    Every candidate evaluation request counts against the budget, cache
-    hits included, so budget comparisons to the baselines stay
-    conservative. The memo stores costs in the problem's native sense.
+    Every candidate evaluation request counts against the budget, repeats
+    included, so budget comparisons to the baselines stay conservative.
+    ``seen`` holds the key of every distinct candidate evaluated.
     """
 
     def __init__(self, handle: CostFunctionHandle, budget: Optional[int] = None):
         self.handle = handle
         self.budget = budget
         self.sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-        self.memo: dict[bytes, float] = {}
+        self.seen: set[bytes] = set()
         self.call_count = 0
         self.best_native: Optional[float] = None
         self.best_bits: Optional[tuple[int, ...]] = None
@@ -215,7 +215,7 @@ class EvalLedger:
 
     @property
     def unique_count(self) -> int:
-        return len(self.memo)
+        return len(self.seen)
 
     @property
     def best_internal(self) -> float:
@@ -233,10 +233,7 @@ class EvalLedger:
             raise RuntimeError(
                 f"budget exceeded: {self.call_count} > {self.budget}"
             )
-        memo = self.memo
-        for key, cost in zip(keys, costs.tolist()):
-            if key not in memo:
-                memo[key] = cost
+        self.seen.update(keys)
         idx = int(np.argmax(costs)) if self.sign < 0 else int(np.argmin(costs))
         cand = float(costs[idx])
         if self.best_native is None or self.sign * cand < self.sign * self.best_native:

@@ -1,10 +1,12 @@
 """Binary-cost problem instances: knapsack, tactical deconfliction, TSP.
 
 Every instance exposes a :class:`CostFunctionHandle` with a pure
-``eval(bits) -> float`` plus a vectorized ``eval_batch`` and a packed-kernel
-form used by the compiled search loops (``None`` for TSP from 22 points,
-where the packed tour index would overflow int64). Instances serialize to
-JSON and round-trip losslessly.
+``eval(bits) -> float`` plus a vectorized ``eval_batch`` and a packed form,
+``pack``, whose ``_cost_kernels.eval_one`` cost equals ``eval`` exactly.
+The SA/HC search loops run on the packed form when there is one, compiled
+with numba or not; it is ``None`` for TSP from 22 points, where the packed
+tour index would overflow int64, and for custom handles, whose searches
+call ``eval``. Instances serialize to JSON and round-trip losslessly.
 """
 
 import json

@@ -50,10 +50,10 @@ def _report(number, text):
 
 requires_accel = pytest.mark.skipif(
     not NUMBA_ENABLED,
-    reason="full-budget suite; the numpy fallback computes identical runs "
+    reason="full-budget suite; the uncompiled kernels compute identical runs "
     "(covered by parity and small-budget tests); its 550k-call SA and HC "
-    "runs take about 8 s per knapsack instance, so criteria 8, 9 and 11 "
-    "together take about 7 min (measured on a 2-core Xeon)",
+    "runs take about 10 s per knapsack instance, so criteria 8, 9 and 11 "
+    "together take about 8 min (measured on a 2-core Xeon)",
 )
 
 

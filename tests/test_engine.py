@@ -203,8 +203,10 @@ class TestEvalLedger:
         handle = onesum_handle(5)
         ledger = EvalLedger(handle)
         rng = np.random.default_rng(2)
-        ledger.evaluate_batch(rng.integers(0, 2, size=(64, 5)).astype(np.uint8))
-        assert ledger.best_native == min(ledger.memo.values())
+        bits = rng.integers(0, 2, size=(64, 5)).astype(np.uint8)
+        ledger.evaluate_batch(bits)
+        assert ledger.best_native == min(handle.eval(row) for row in bits)
+        assert handle.eval(np.array(ledger.best_bits)) == ledger.best_native
 
     @pytest.mark.parametrize("m", [62, 63, 64, 70])
     def test_keys_distinct_past_int64(self, m):

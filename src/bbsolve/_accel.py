@@ -3,10 +3,10 @@
 :func:`maybe_njit` compiles a loop kernel with numba when numba imports and
 leaves the same Python function in place otherwise; there is no second
 implementation. The decorated kernels are the Fock pattern enumeration
-(``fock._fill_patterns``), the sequential sampler with its real Ryser
-permanent (``sampling._sequential_kernel``, ``_perm_real``), the packed
-single-candidate cost (``_cost_kernels.eval_one``) and the SA/HC search
-loops. No other module reads :data:`NUMBA_ENABLED`. Setting
+(``fock._fill_patterns``), the packed single-candidate cost
+(``_cost_kernels.eval_one``) and the SA/HC search loops; the sequential
+sampler is numpy calls over a subset table and is never compiled. No
+other module reads :data:`NUMBA_ENABLED`. Setting
 ``BBS_NO_NUMBA=1`` turns compilation off. The flag is read once at import
 time.
 """

@@ -31,9 +31,10 @@ from ._evolve_kernels import apply_coupler
 from .interferometer import (
     CircuitLayout,
     build_layout,
-    circuit_unitary,
+    circuit_unitary,  # not called here; perfbench/layers.py patches engine.circuit_unitary
     default_loop_lengths,
     input_pattern,
+    shifted_unitaries,
 )
 from .problems import SENSE_MAX, CostFunctionHandle
 from .sampling import draw_from_cdf, resolve_backend, sample_occupations_sequential
@@ -305,8 +306,14 @@ def evolve_states(states: np.ndarray, tables, blocks: np.ndarray):
             apply_coupler(states[lo : min(lo + chunk, up)], table, blocks[c])
 
 
+def _shift_row(local_c: int, up: bool) -> int:
+    """Row of coupler ``local_c``'s +shift (``up``) or -shift circuit in a tile's stack."""
+    return 2 * local_c + (1 if up else 2)
+
+
 class _TileRuntime:
-    """Per-tile circuit state: every shift-rule CDF at once, or per-sample unitary."""
+    """Per-tile circuit state: every shift-rule CDF, or every shift-rule
+    unitary, of the current thetas, row 0 holding the unshifted circuit."""
 
     def __init__(
         self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = math.pi / 2
@@ -317,7 +324,6 @@ class _TileRuntime:
         self.n = int(self.input.sum())
         self.shift = shift
         self.backend = resolve_backend(backend, self.m, self.n, max_dim)
-        self.thetas: Optional[np.ndarray] = None
         if self.backend == "statevector":
             dim = fock_dim(self.m, self.n)
             if dim > max_dim:
@@ -332,13 +338,10 @@ class _TileRuntime:
             self.input_index = self.basis.rank(self.input)
             # row 0: base CDF; rows 2c+1, 2c+2: coupler c shifted by +s, -s
             self.cdfs = np.zeros((2 * layout.coupler_count + 1, dim))
-        else:
-            self.base_u: Optional[np.ndarray] = None
 
     def set_thetas(self, thetas: np.ndarray):
-        self.thetas = np.asarray(thetas, dtype=float)
+        t, s = np.asarray(thetas, dtype=float), self.shift
         if self.backend == "statevector":
-            t, s = self.thetas, self.shift
             blocks = _evolve_kernels.make_blocks(
                 np.concatenate((t, t + s, t - s)), self.basis.block_coef
             )
@@ -350,30 +353,28 @@ class _TileRuntime:
             np.square(states, out=states)
             np.cumsum(states, axis=1, out=states)
         else:
-            self.base_u = circuit_unitary(self.layout, self.thetas)
+            self.unitaries = shifted_unitaries(self.layout, t, s)
 
     def shifted_cdf(self, local_c: int, up: bool) -> np.ndarray:
-        return self.cdfs[2 * local_c + (1 if up else 2)]
+        return self.cdfs[_shift_row(local_c, up)]
 
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
         return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
+    def _draw_sequential(self, row: int, rng, count: int) -> np.ndarray:
+        occ = sample_occupations_sequential(self.unitaries[row], self.input, rng, count)
+        return (occ > 0).astype(np.uint8)
+
     def sample_base(self, rng, count: int) -> np.ndarray:
         if self.backend == "statevector":
             return self._draw_from_cdf(self.cdfs[0], rng, count)
-        occ = sample_occupations_sequential(self.base_u, self.input, rng, count)
-        return (occ > 0).astype(np.uint8)
+        return self._draw_sequential(0, rng, count)
 
     def sample_shifted(self, local_c: int, up: bool, rng, count: int) -> np.ndarray:
         """Samples with coupler ``local_c`` at theta + shift (``up``) or theta - shift."""
         if self.backend == "statevector":
             return self._draw_from_cdf(self.shifted_cdf(local_c, up), rng, count)
-        shifted = self.thetas.copy()
-        base = shifted[local_c]
-        shifted[local_c] = base + self.shift if up else base - self.shift
-        u = circuit_unitary(self.layout, shifted)
-        occ = sample_occupations_sequential(u, self.input, rng, count)
-        return (occ > 0).astype(np.uint8)
+        return self._draw_sequential(_shift_row(local_c, up), rng, count)
 
 
 class _RunState:

@@ -4,7 +4,8 @@ These are the route to output statistics that does not touch the Fock-space
 evolution code: the probability of measuring occupation s after sending
 occupation t through mode unitary U is |Perm(U[s-rows, t-cols])|^2 scaled by
 the occupation factorials. Used as an independent check on the evolved
-state and as the engine of the sequential sampler.
+state and on the sequential sampler, which gets its minors from a subset
+table of its own (``sampling._placement_minors``).
 """
 
 from math import factorial

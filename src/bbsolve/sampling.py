@@ -5,10 +5,12 @@ Two interchangeable backends draw occupation samples from a circuit:
 * statevector: evolve the full Fock state once, then draw i.i.d. outcomes
   from the exact output distribution by CDF inversion. Exact, but memory
   scales with the Fock dimension.
-* sequential: per-sample conditional sampling in the style of Clifford &
-  Clifford, placing one photon at a time with weights given by permanental
-  minors of the mode unitary. No state vector is ever built, so it works
-  for mode counts far beyond the statevector bound.
+* sequential: per-sample conditional sampling after Clifford & Clifford,
+  placing one photon at a time with weights given by permanental minors of
+  the mode unitary. All minors of a placement come from one table of
+  subset column sums, so placing the k-th photon costs O(k 2^k). No state
+  vector is ever built, so it works for mode counts far beyond the
+  statevector bound.
 
 Both consume randomness only through the caller's numpy Generator, so a
 seed pins the full sample sequence.
@@ -16,9 +18,7 @@ seed pins the full sample sequence.
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .fock import DEFAULT_MAX_DIM, FockStateVector, fock_dim, validate_pattern
-from .interferometer import CircuitLayout, circuit_unitary
 
 
 def threshold_pattern(occupation) -> np.ndarray:
@@ -45,88 +45,61 @@ def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.n
     return np.minimum(draws, np.searchsorted(cdf, cdf[-1], side="left"))
 
 
-@maybe_njit(cache=True)
-def _perm_real(mat, k):
-    # Ryser with gray-code updates on a k x k real matrix.
-    if k == 0:
-        return 1.0
-    total = 0.0
-    row_sum = np.zeros(k)
-    sgn = 1.0
-    for s in range(1, 1 << k):
-        j = 0
-        ss = s
-        while not ss & 1:
-            ss >>= 1
-            j += 1
-        if (s ^ (s >> 1)) >> j & 1:
-            for i in range(k):
-                row_sum[i] += mat[i, j]
-        else:
-            for i in range(k):
-                row_sum[i] -= mat[i, j]
-        sgn = -sgn
-        prod = 1.0
-        for i in range(k):
-            prod *= row_sum[i]
-        total += sgn * prod
-    if k & 1:
-        return -total
-    return total
+# samples placed together keep their subset tables to about this many
+# floats (4 MB); from 15 photons a sample's table alone is larger
+_TABLE_FLOATS = 1 << 19
 
 
-@maybe_njit(cache=True)
-def _sequential_kernel(u, cols, col_orders, step_u, out_occ):
-    n_samples, n = col_orders.shape
-    m = u.shape[0]
-    a = np.empty((m, n))
-    rows = np.empty(n, dtype=np.int64)
-    minor = np.empty((n, n))
-    g = np.empty(n)
-    w = np.empty(m)
-    for s in range(n_samples):
-        for k in range(n):
-            col = cols[col_orders[s, k]]
-            for r in range(m):
-                a[r, k] = u[r, col]
-        for k in range(1, n + 1):
-            if k == 1:
-                for r in range(m):
-                    w[r] = a[r, 0] * a[r, 0]
-            else:
-                # g[j] = Perm of A[chosen rows, first k cols minus col j]
-                for j in range(k):
-                    cc = 0
-                    for c in range(k):
-                        if c == j:
-                            continue
-                        for rr in range(k - 1):
-                            minor[rr, cc] = a[rows[rr], c]
-                        cc += 1
-                    g[j] = _perm_real(minor[: k - 1, : k - 1], k - 1)
-                for r in range(m):
-                    amp = 0.0
-                    for j in range(k):
-                        amp += a[r, j] * g[j]
-                    w[r] = amp * amp
-            total = 0.0
-            for r in range(m):
-                total += w[r]
-            pick = m - 1
-            if total > 0.0:
-                target = step_u[s, k - 1] * total
-                acc = 0.0
-                for r in range(m):
-                    acc += w[r]
-                    if acc >= target:
-                        pick = r
-                        break
-            else:
-                pick = int(step_u[s, k - 1] * m)
-                if pick >= m:
-                    pick = m - 1
-            rows[k - 1] = pick
-            out_occ[s, pick] += 1
+def _placement_minors(sums, signs, k):
+    """Permanents of the k minors that weigh the k-th photon's placement.
+
+    Returns ``g`` with ``g[..., j]`` = Perm(a[rows, :k] without column j),
+    where ``rows`` are the k - 1 rows placed so far. ``sums[..., S, :]``
+    holds the column sums of ``a`` over one subset S of ``rows``, and
+    ``signs[S]`` is (-1)^(k - 1 - |S|). The row-subset Ryser formula then
+    gives every minor at once from leave-one-out products over the first k
+    columns.
+    """
+    head = sums[..., :k]
+    left = np.ones_like(head)
+    right = np.ones_like(head)
+    left[..., 1:] = np.cumprod(head[..., :-1], axis=-1)
+    right[..., :-1] = np.cumprod(head[..., :0:-1], axis=-1)[..., ::-1]
+    return signs @ (left * right)
+
+
+def _place_photons(a, step_u):
+    """Output rows of each sample's photons, in placement order.
+
+    ``a[s]`` holds sample s's input columns of the unitary in placement
+    order, and ``step_u[s, k - 1]`` is the uniform that places its k-th
+    photon. That photon lands on row r with weight
+    Perm(a[s][rows + [r], :k])^2, which expands along row r into the k
+    minors of :func:`_placement_minors`; the draw takes the first row whose
+    cumulative weight reaches u times the total, or row floor(u * m) when
+    every weight is zero. Placing a row doubles the subset table: every
+    subset, then every subset with the new row added (Clifford & Clifford,
+    arXiv:1706.01260).
+    """
+    count, m, n = a.shape
+    rows = np.empty((count, n), dtype=np.int64)
+    each = np.arange(count)
+    sums = np.zeros((count, 1, n))
+    signs = np.ones(1)
+    for k in range(1, n + 1):
+        if k > 1:
+            placed = a[each, rows[:, k - 2]]
+            sums = np.concatenate((sums, sums + placed[:, None]), axis=1)
+            signs = np.concatenate((-signs, signs))
+        amps = a[..., :k] @ _placement_minors(sums, signs, k)[..., None]
+        cum = np.cumsum(amps[..., 0] ** 2, axis=1)
+        total = cum[:, -1]
+        rows[:, k - 1] = np.argmax(cum >= (step_u[:, k - 1] * total)[:, None], axis=1)
+        positive = total > 0.0
+        if not positive.all():
+            empty = ~positive
+            rows[empty, k - 1] = np.minimum((step_u[empty, k - 1] * m).astype(np.int64), m - 1)
+    return rows
 
 
 def sample_occupations_sequential(
@@ -144,7 +117,13 @@ def sample_occupations_sequential(
         return occ
     orders = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (count, 1)), axis=1)
     step_u = rng.random((count, n))
-    _sequential_kernel(np.ascontiguousarray(u, dtype=np.float64), cols, orders, step_u, occ)
+    u = np.asarray(u, dtype=np.float64)
+    chunk = max(1, _TABLE_FLOATS // (n << n))
+    for lo in range(0, count, chunk):
+        part = slice(lo, lo + chunk)
+        a = np.ascontiguousarray(u[:, cols[orders[part]]].transpose(1, 0, 2))
+        rows = _place_photons(a, step_u[part])
+        np.add.at(occ, (np.arange(lo, lo + len(rows))[:, None], rows), 1)
     return occ
 
 

@@ -52,8 +52,8 @@ requires_accel = pytest.mark.skipif(
     not NUMBA_ENABLED,
     reason="full-budget suite; the uncompiled kernels compute identical runs "
     "(covered by parity and small-budget tests); its 550k-call SA and HC "
-    "runs take about 10 s per knapsack instance, so criteria 8, 9 and 11 "
-    "together take about 8 min (measured on a 2-core Xeon)",
+    "runs take about 9 s per knapsack instance, so the 20-instance suite "
+    "that criteria 9 and 11 share takes about 3 min (measured on a 2-core Xeon)",
 )
 
 
@@ -249,7 +249,6 @@ def test_criterion_07_desk_scale_table(table1_suites):
     _report(7, f"N=200,S=50 optimum rate per class (>=90% required): {summary}")
 
 
-@requires_accel
 class TestCriterion8:
     """Fig.-5-style ablation ordering at size 12: expected to fail.
 

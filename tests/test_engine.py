@@ -24,7 +24,7 @@ from bbsolve.engine import (
     sigmoid,
 )
 from bbsolve.fock import evolve, fock_dim, output_distribution
-from bbsolve.interferometer import build_layout, input_pattern
+from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from bbsolve.problems import (
     CostFunctionHandle,
     brute_force,
@@ -386,6 +386,41 @@ class TestShiftedCdfs:
             np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-12)
 
 
+class TestShiftedUnitaries:
+    """Every row of a sequential tile's unitary stack is circuit_unitary of its thetas."""
+
+    def check_tiles(self, plan, shift):
+        params = init_params(plan, np.random.default_rng(5))
+        state, _ = _transient_state(
+            plan,
+            params,
+            constant_handle(plan.size),
+            1,
+            np.random.default_rng(6),
+            shift=shift,
+            backend="sequential",
+        )
+        for tile, sl in zip(state.tiles, plan.theta_slices()):
+            thetas = params.thetas[sl]
+            count = tile.layout.coupler_count
+            assert tile.unitaries.shape == (2 * count + 1, tile.m, tile.m)
+            np.testing.assert_array_equal(tile.unitaries[0], circuit_unitary(tile.layout, thetas))
+            for c in range(count):
+                for up, delta in ((True, shift), (False, -shift)):
+                    np.testing.assert_array_equal(
+                        tile.unitaries[engine._shift_row(c, up)],
+                        circuit_unitary(tile.layout, _shifted(thetas, c, delta)),
+                    )
+
+    def test_untiled_plan(self):
+        self.check_tiles(make_plan(17, BbsConfig(updates=1, samples=1)), math.pi / 2)
+
+    def test_tiled_plan(self):
+        plan = make_plan(10, BbsConfig(updates=1, samples=1, loop_lengths=(1, 3), tile_size=5))
+        assert len(plan.layouts) == 2
+        self.check_tiles(plan, 0.3)
+
+
 class TestGradAlpha:
     def test_single_bit_worked_example(self):
         # raw sample 0, alpha 0: (E|p=1 - E|p=0) * sigma'(0) = (1 - 0) / 4
@@ -472,9 +507,9 @@ class TestReachability:
 class TestRunBbs:
     CFG = BbsConfig(updates=12, samples=6, seed=42, loop_lengths=(1, 3))
 
-    def test_seeded_trajectory_pinned(self, monkeypatch):
-        # recorded when every shifted circuit was evolved on its own; the
-        # batched evolution must keep every draw, and so every value, equal
+    @pytest.fixture
+    def updates(self, monkeypatch):
+        """Every parameter set ``sgd_update`` returns during the test."""
         updates = []
         step = engine.sgd_update
 
@@ -483,6 +518,11 @@ class TestRunBbs:
             return updates[-1]
 
         monkeypatch.setattr(engine, "sgd_update", spy)
+        return updates
+
+    def test_seeded_trajectory_pinned(self, updates):
+        # recorded when every shifted circuit was evolved on its own; the
+        # batched evolution must keep every draw, and so every value, equal
         handle = knapsack_handle(gen_knapsack(10, np.random.default_rng(2024)))
         result = run_bbs(handle, BbsConfig(updates=3, samples=50, seed=11))
         assert result.trace.losses == [-4.88, 5.22, -63.2]
@@ -503,6 +543,32 @@ class TestRunBbs:
             -1.2182932186283824, 0.8544168905681352, 1.377585609741615,
             -3.41391185543361, -0.4884007480847294, -0.08114763835582911,
             -1.0239460978686648,
+        ]
+
+    def test_seeded_sequential_trajectory_pinned(self, updates):
+        # recorded with the per-minor Ryser sampler and one circuit_unitary
+        # call per shifted circuit
+        handle = knapsack_handle(gen_knapsack(10, np.random.default_rng(2024)))
+        config = BbsConfig(updates=3, samples=10, seed=11, sampler_backend="sequential")
+        result = run_bbs(handle, config)
+        assert result.trace.losses == [-28.5, 62.0, 114.3]
+        assert result.trace.best_costs == [-428.0, -450.0, -450.0]
+        assert result.best_cost == 450.0
+        assert result.best_bits == (1, 1, 0, 1, 1, 1, 0, 1, 1, 1)
+        assert (result.calls, result.unique_evals, result.budget) == (1650, 764, 1650)
+        assert updates[-1].thetas.tolist() == [
+            -0.9271695910194651, 5.585055329483761, 3.6973256429117325,
+            1.2512583558801542, -0.4305529988343243, 5.663121861426727,
+            1.710465529415171, 1.554393772120336, 8.595523404103224,
+            1.7244098530342853, 4.921452173469323, 3.903158271232508,
+            5.371765100221089, 6.51781630612734, 0.2908789682975367,
+            3.666398801663241, 4.145999772545052,
+        ]
+        assert updates[-1].alphas.tolist() == [
+            -1.625605415581204, -1.0998615922951618, -1.4706152437631894,
+            -2.245568923920068, -1.9179026825518624, -0.9038695838024381,
+            -1.3778831568489003, -1.7284607682902122, 1.3969521784917385,
+            0.16530666238472436,
         ]
 
     def test_finds_small_knapsack_optimum(self):

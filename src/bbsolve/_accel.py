@@ -3,10 +3,10 @@
 :func:`maybe_njit` compiles a loop kernel with numba when numba imports and
 leaves the same Python function in place otherwise; there is no second
 implementation. The decorated kernels are the Fock pattern enumeration
-(``fock._fill_patterns``), the packed single-candidate cost
-(``_cost_kernels.eval_one``) and the SA/HC search loops; the sequential
-sampler is numpy calls over a subset table and is never compiled. No
-other module reads :data:`NUMBA_ENABLED`. Setting
+(``fock._fill_patterns``) and the SA/HC search loops, which are compiled on
+a handle's cost table and run as their Python source (``py_func``) above
+the table limit; the sequential sampler is numpy calls over a subset table
+and is never compiled. No other module reads :data:`NUMBA_ENABLED`. Setting
 ``BBS_NO_NUMBA=1`` turns compilation off. The flag is read once at import
 time.
 """

@@ -5,13 +5,15 @@ mirroring how the training ledger counts, and stop at exactly the call
 budget R. Randomness is pre-drawn from the caller's Generator into flat
 arrays consumed in a fixed order.
 
-Each search is one loop, ``_hc_kernel`` or ``_sa_kernel``, whose first
-argument is the cost function, called as ``cost(args, bits)``. A handle
-with a packed form passes ``_cost_kernels.eval_packed`` and its ``pack``,
-so with numba the whole search runs compiled. A handle without one (a
-custom handle, or TSP from 22 points) passes a wrapper around
-``handle.eval`` to the loop's uncompiled source. Without numba both run
-the same Python source.
+Each search is one loop, ``_hc_kernel`` or ``_sa_kernel``, on an integer
+state: bit b of string s is ``(s >> (m - 1 - b)) & 1`` (big-endian, as in
+``brute_force``), a move is an xor, and a cost is a read ``costs[s]``. Up
+to ``problems.TABLE_LIMIT`` bits, ``costs`` is the handle's
+``cost_table``, the table brute force reads too: with numba the loop runs
+compiled on it, without numba it runs as Python on lists, which Python
+reads about twice as fast as arrays. Above the limit the loop's Python
+source reads a view that decodes s and calls ``handle.eval``; Python ints
+keep strings past 64 bits exact.
 """
 
 import math
@@ -21,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ._accel import maybe_njit
-from . import _cost_kernels as ck
 from .problems import SENSE_MAX, CostFunctionHandle
 
 
@@ -59,16 +60,31 @@ class BaselineResult:
         }
 
 
-def _eval_handle(eval_fn, bits):
-    return float(eval_fn(bits))
+class _Evaluated:
+    """``costs[s]`` is ``handle.eval`` of string s: the costs a search reads
+    above the table limit."""
+
+    def __init__(self, handle: CostFunctionHandle):
+        self._eval = handle.eval
+        self._m = handle.size
+
+    def __getitem__(self, s):
+        return float(self._eval(np.array(_bits(s, self._m), dtype=np.uint8)))
 
 
-def _search(kernel, handle: CostFunctionHandle):
-    """Loop, cost and cost arguments for ``handle``: the kernel on the packed
-    cost, or the kernel's Python source on ``handle.eval``."""
-    if handle.pack is None:
-        return getattr(kernel, "py_func", kernel), _eval_handle, handle.eval
-    return kernel, ck.eval_packed, handle.pack
+def _search(kernel, handle: CostFunctionHandle, *draws):
+    """Loop, costs and draws for ``handle``: the compiled kernel on the cost
+    table and the draw arrays, else the kernel's Python source on lists, or
+    on ``handle.eval`` above the table limit."""
+    table = handle.cost_table
+    if table is not None and hasattr(kernel, "py_func"):
+        return kernel, table, draws
+    costs = _Evaluated(handle) if table is None else table.tolist()
+    return getattr(kernel, "py_func", kernel), costs, [d.tolist() for d in draws]
+
+
+def _bits(s, m):
+    return tuple((int(s) >> k) & 1 for k in range(m - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -81,46 +97,52 @@ def _search(kernel, handle: CostFunctionHandle):
 
 
 @maybe_njit(cache=True)
-def _hc_kernel(cost, args, sign, m, budget, pool, out_bits, counts):
-    """counts[0] += restarts, counts[1] += strings abandoned as local optima."""
+def _hc_kernel(costs, sign, m, budget, pool):
+    """Returns (best cost, best string, calls, restarts, strings abandoned
+    as local optima)."""
     cursor = 0
     best_cost = np.inf
+    best = 0
     calls = 0
-    bits = np.zeros(m, dtype=np.uint8)
-    untried = np.empty(m, dtype=np.int64)
+    restarts = 0
+    local_optima = 0
+    untried = list(range(m))
     while calls < budget:
+        s = 0
         for b in range(m):
-            bits[b] = 1 if pool[cursor + b] < 0.5 else 0
+            s = (s << 1) | (1 if pool[cursor + b] < 0.5 else 0)
         cursor += m
-        current = sign * cost(args, bits)
+        current = sign * costs[s]
         calls += 1
-        counts[0] += 1
+        restarts += 1
         size = m
-        untried[:] = np.arange(m)
+        for b in range(m):
+            untried[b] = b
         while size > 0 and calls < budget:
             pick = int(pool[cursor] * size)
             cursor += 1
             if pick >= size:
                 pick = size - 1
             bit = untried[pick]
-            bits[bit] ^= 1
-            candidate = sign * cost(args, bits)
+            moved = s ^ (1 << (m - 1 - bit))
+            candidate = sign * costs[moved]
             calls += 1
             if candidate < current:
+                s = moved
                 current = candidate
                 size = m
-                untried[:] = np.arange(m)
+                for b in range(m):
+                    untried[b] = b
             else:
-                bits[bit] ^= 1
                 untried[pick] = untried[size - 1]
                 untried[size - 1] = bit
                 size -= 1
         if size == 0:
-            counts[1] += 1
+            local_optima += 1
         if current < best_cost:
             best_cost = current
-            out_bits[:] = bits
-    return best_cost, calls
+            best = s
+    return best_cost, best, calls, restarts, local_optima
 
 
 def hill_climb(
@@ -138,19 +160,16 @@ def hill_climb(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     m = handle.size
-    pool = rng.random(2 * budget + m)
     sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-    loop, cost, args = _search(_hc_kernel, handle)
-    best_bits = np.zeros(m, dtype=np.uint8)
-    counts = np.zeros(2, dtype=np.int64)
-    best_cost, calls = loop(cost, args, sign, m, budget, pool, best_bits, counts)
+    loop, costs, (pool,) = _search(_hc_kernel, handle, rng.random(2 * budget + m))
+    best_cost, best, calls, restarts, local_optima = loop(costs, sign, m, budget, pool)
     return BaselineResult(
-        best_bits=tuple(int(b) for b in best_bits),
+        best_bits=_bits(best, m),
         best_cost=sign * float(best_cost),
         calls=int(calls),
         seed=seed,
         budget=budget,
-        counters={"restarts": int(counts[0]), "local_optima": int(counts[1])},
+        counters={"restarts": int(restarts), "local_optima": int(local_optima)},
     )
 
 
@@ -160,35 +179,33 @@ def hill_climb(
 
 
 @maybe_njit(cache=True)
-def _sa_kernel(cost, args, sign, m, budget, init_u, flip_idx, accept_u, t_max, t_min,
-               out_bits, counts):
-    """counts[0] += uphill moves accepted."""
-    bits = np.zeros(m, dtype=np.uint8)
+def _sa_kernel(costs, sign, m, budget, init_u, flip_idx, accept_u, t_max, t_min):
+    """Returns (best cost, best string, uphill moves accepted)."""
+    s = 0
     for b in range(m):
-        bits[b] = 1 if init_u[b] < 0.5 else 0
-    current = sign * cost(args, bits)
+        s = (s << 1) | (1 if init_u[b] < 0.5 else 0)
+    current = sign * costs[s]
     best_cost = current
-    out_bits[:] = bits
+    best = s
+    uphill = 0
     moves = budget - 1
     if moves > 0:
         log_ratio = math.log(t_min / t_max)
         for k in range(moves):
             frac = k / (moves - 1) if moves > 1 else 1.0
             temp = t_max * math.exp(log_ratio * frac)
-            bit = flip_idx[k]
-            bits[bit] ^= 1
-            candidate = sign * cost(args, bits)
+            moved = s ^ (1 << (m - 1 - flip_idx[k]))
+            candidate = sign * costs[moved]
             delta = candidate - current
             if delta <= 0.0 or accept_u[k] < math.exp(-delta / temp):
                 if delta > 0.0:
-                    counts[0] += 1
+                    uphill += 1
+                s = moved
                 current = candidate
                 if current < best_cost:
                     best_cost = current
-                    out_bits[:] = bits
-            else:
-                bits[bit] ^= 1
-    return best_cost, budget
+                    best = s
+    return best_cost, best, uphill
 
 
 def simulated_anneal(
@@ -213,18 +230,15 @@ def simulated_anneal(
     flip_idx = rng.integers(0, m, size=max(budget - 1, 0))
     accept_u = rng.random(max(budget - 1, 0))
     sign = -1.0 if handle.sense == SENSE_MAX else 1.0
-    loop, cost, args = _search(_sa_kernel, handle)
-    best_bits = np.zeros(m, dtype=np.uint8)
-    counts = np.zeros(1, dtype=np.int64)
-    best_cost, calls = loop(
-        cost, args, sign, m, budget, init_u, flip_idx, accept_u,
-        schedule.t_max, schedule.t_min, best_bits, counts,
+    loop, costs, draws = _search(_sa_kernel, handle, init_u, flip_idx, accept_u)
+    best_cost, best, uphill = loop(
+        costs, sign, m, budget, *draws, schedule.t_max, schedule.t_min
     )
     return BaselineResult(
-        best_bits=tuple(int(b) for b in best_bits),
+        best_bits=_bits(best, m),
         best_cost=sign * float(best_cost),
-        calls=int(calls),
+        calls=budget,
         seed=seed,
         budget=budget,
-        counters={"uphill_accepted": int(counts[0])},
+        counters={"uphill_accepted": int(uphill)},
     )

@@ -199,8 +199,3 @@ def distribution_to_json(dist: dict[tuple[int, ...], float]) -> list[dict]:
         {"pattern": list(pattern), "probability": prob}
         for pattern, prob in sorted(dist.items())
     ]
-
-
-def state_to_json(state: FockStateVector) -> list[dict]:
-    """Export a state's outcome probabilities in the debug JSON shape."""
-    return distribution_to_json(output_distribution(state))

@@ -1,16 +1,16 @@
 """Binary-cost problem instances: knapsack, tactical deconfliction, TSP.
 
 Every instance exposes a :class:`CostFunctionHandle` with a pure
-``eval(bits) -> float`` plus a vectorized ``eval_batch`` and a packed form,
-``pack``, whose ``_cost_kernels.eval_one`` cost equals ``eval`` exactly.
-The SA/HC search loops run on the packed form when there is one, compiled
-with numba or not; it is ``None`` for TSP from 22 points, where the packed
-tour index would overflow int64, and for custom handles, whose searches
-call ``eval``. Instances serialize to JSON and round-trip losslessly.
+``eval(bits) -> float`` plus a vectorized ``eval_batch``. Up to
+:data:`TABLE_LIMIT` bits a handle also tabulates its costs over all 2^m
+strings, once, on first use (``cost_table``); brute force and the SA/HC
+search loops read that one table. Instances serialize to JSON and
+round-trip losslessly.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Callable, Optional
 
@@ -22,6 +22,11 @@ SENSE_MIN = "minimize"
 SENSE_MAX = "maximize"
 
 BRUTE_FORCE_LIMIT = 24
+# Largest m whose 2^m costs are kept as a table. Measured without numba on a
+# 2-core Xeon: at m = 20 the table is 8 MB and takes 0.4-1.7 s to build, and
+# the Python list an uncompiled search reads adds about 50 MB of peak memory;
+# at m = 22 that list adds about 200 MB and the table takes up to 8 s.
+TABLE_LIMIT = 20
 _ENUM_CHUNK = 1 << 16
 
 
@@ -35,12 +40,21 @@ class CostFunctionHandle:
     kind: str
     metadata: dict = field(default_factory=dict)
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    pack: Optional[tuple] = None  # (kind_id, int_params, float_params)
 
     def batch(self, bits_mat: np.ndarray) -> np.ndarray:
         if self.eval_batch is not None:
             return self.eval_batch(bits_mat)
         return np.array([float(self.eval(row)) for row in bits_mat])
+
+    @cached_property
+    def cost_table(self) -> Optional[np.ndarray]:
+        """Read-only costs of all 2^m strings, string i at index i with bit 1
+        as its most significant bit; ``None`` above :data:`TABLE_LIMIT`."""
+        if self.size > TABLE_LIMIT:
+            return None
+        table = np.concatenate([costs for _, costs in _cost_chunks(self)])
+        table.flags.writeable = False
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +118,6 @@ def gen_knapsack(
 def knapsack_handle(instance: KnapsackInstance, metadata=None) -> CostFunctionHandle:
     values = np.asarray(instance.values, dtype=np.int64)
     weights = np.asarray(instance.weights, dtype=np.int64)
-    ints = np.concatenate(([instance.size, instance.capacity], values, weights))
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MAX,
@@ -112,7 +125,6 @@ def knapsack_handle(instance: KnapsackInstance, metadata=None) -> CostFunctionHa
         kind="knapsack",
         metadata=metadata or {},
         eval_batch=lambda bm: ck.knapsack_batch(values, weights, instance.capacity, bm),
-        pack=(ck.KIND_KNAPSACK, ints, np.empty(0)),
     )
 
 
@@ -189,9 +201,6 @@ def _nested(cm: np.ndarray):
 
 def deconfliction_handle(instance: DeconflictionInstance, metadata=None) -> CostFunctionHandle:
     cm2 = instance.conflict_matrix()
-    ints = np.concatenate(
-        ([instance.n_aircraft, instance.n_maneuvers], cm2.ravel())
-    ).astype(np.int64)
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MIN,
@@ -201,7 +210,6 @@ def deconfliction_handle(instance: DeconflictionInstance, metadata=None) -> Cost
         eval_batch=lambda bm: ck.deconfliction_batch(
             instance.n_aircraft, instance.n_maneuvers, cm2, bm
         ),
-        pack=(ck.KIND_DECONFLICTION, ints, np.empty(0)),
     )
 
 
@@ -273,13 +281,7 @@ def gen_tsp(n_points: int, rng: np.random.Generator) -> TspInstance:
 
 
 def tsp_handle(instance: TspInstance, metadata=None) -> CostFunctionHandle:
-    n = instance.n_points
     points = np.asarray(instance.points, dtype=np.float64)
-    pack = None
-    if factorial(n - 1) < 1 << 63:  # else the packed kernel's int64 index overflows
-        facts = np.array([factorial(q) for q in range(n - 1)], dtype=np.int64)
-        ints = np.concatenate(([n, instance.size], facts))
-        pack = (ck.KIND_TSP, ints, points.ravel())
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MIN,
@@ -287,7 +289,6 @@ def tsp_handle(instance: TspInstance, metadata=None) -> CostFunctionHandle:
         kind="tsp",
         metadata=metadata or {},
         eval_batch=lambda bm: ck.tsp_batch(points, bm),
-        pack=pack,
     )
 
 
@@ -303,22 +304,30 @@ class BruteForceResult:
     maximum: float  # global max of C, needed for the deconfliction error metric
 
 
+def _cost_chunks(handle: CostFunctionHandle):
+    """(first index, costs) of every string in big-endian order, _ENUM_CHUNK
+    strings at a time."""
+    m = handle.size
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    for start in range(0, 1 << m, _ENUM_CHUNK):
+        ints = np.arange(start, min(start + _ENUM_CHUNK, 1 << m), dtype=np.uint64)
+        yield start, handle.batch(((ints[:, None] >> shifts) & 1).astype(np.uint8))
+
+
 def brute_force(handle: CostFunctionHandle, limit: int = BRUTE_FORCE_LIMIT) -> BruteForceResult:
-    """Exhaustive scan of {0,1}^m; ties break to the lexicographically
-    smallest string (bit 1 most significant)."""
+    """Exhaustive scan of {0,1}^m, over the cost table up to TABLE_LIMIT and
+    chunk by chunk above it; ties break to the lexicographically smallest
+    string (bit 1 most significant)."""
     m = handle.size
     if m > limit:
         raise ValueError(f"brute force limited to m <= {limit}, got {m}")
+    table = handle.cost_table
+    chunks = _cost_chunks(handle) if table is None else [(0, table)]
     best_val = None
     best_key = None
     global_max = -np.inf
     maximize = handle.sense == SENSE_MAX
-    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    for start in range(0, 1 << m, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << m)
-        ints = np.arange(start, stop, dtype=np.uint64)
-        bits = ((ints[:, None] >> shifts) & 1).astype(np.uint8)
-        costs = handle.batch(bits)
+    for start, costs in chunks:
         global_max = max(global_max, float(costs.max()))
         idx = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
         val = float(costs[idx])

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Everything here is deliberately naive (factorial/exponential enumeration)
-and shares no code with the production paths it checks.
+and shares no code with the production paths it checks, bar the Fock basis
+that ``exact_distribution`` enumerates outcomes from.
 """
 
 import itertools
 from math import comb, factorial
 
 import numpy as np
+
+from bbsolve.fock import get_basis
 
 
 def perm_definition(mat) -> complex:
@@ -123,3 +126,64 @@ def beamsplitter_blocks(theta: float, n: int) -> np.ndarray:
                     acc += -term if q & 1 else term
                 out[t, kp, k] = acc * sqfact[kp] * sqfact[lp] / (sqfact[k] * sqfact[l])
     return out
+
+
+# ---------------------------------------------------------------------------
+# permanents: outcome probabilities without the Fock-space evolution
+# ---------------------------------------------------------------------------
+#
+# The probability of measuring occupation s after sending occupation t
+# through mode unitary U is |Perm(U[s-rows, t-cols])|^2 scaled by the
+# occupation factorials. This checks the evolved state and the sequential
+# sampler, which gets its minors from a subset table of its own
+# (``sampling._placement_minors``).
+
+_PERM_LIMIT = 18
+
+
+def permanent(mat) -> complex:
+    """Permanent of a square matrix of size n <= 18 (Ryser, O(n 2^n))."""
+    a = np.asarray(mat)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n > _PERM_LIMIT:
+        raise ValueError(f"permanent limited to n <= {_PERM_LIMIT}")
+    k = np.arange(1, 1 << n, dtype=np.int64)
+    bits = (k[:, None] >> np.arange(n)) & 1
+    sums = bits @ a.T.astype(np.complex128)
+    prods = np.prod(sums, axis=1)
+    signs = 1 - 2 * (bits.sum(axis=1) & 1)
+    total = np.sum(signs * prods)
+    return complex(total if n % 2 == 0 else -total)
+
+
+def pattern_probability(u: np.ndarray, input_pattern, output_pattern) -> float:
+    """P(output | input) through mode unitary ``u`` via a permanent."""
+    inp = np.asarray(input_pattern, dtype=np.int64)
+    out = np.asarray(output_pattern, dtype=np.int64)
+    rows = np.repeat(np.arange(u.shape[0]), out)
+    cols = np.repeat(np.arange(u.shape[0]), inp)
+    if rows.size != cols.size:
+        raise ValueError("photon number mismatch between input and output")
+    sub = u[np.ix_(rows, cols)]
+    norm = 1.0
+    for c in inp:
+        norm *= factorial(int(c))
+    for c in out:
+        norm *= factorial(int(c))
+    return float(abs(permanent(sub)) ** 2 / norm)
+
+
+def exact_distribution(u: np.ndarray, input_pattern) -> dict[tuple[int, ...], float]:
+    """Full outcome distribution computed outcome-by-outcome from permanents."""
+    inp = np.asarray(input_pattern, dtype=np.int64)
+    basis = get_basis(u.shape[0], int(inp.sum()))
+    dist = {}
+    for row in basis.patterns:
+        p = pattern_probability(u, inp, row)
+        if p > 0.0:
+            dist[tuple(int(v) for v in row)] = p
+    return dist

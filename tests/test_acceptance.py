@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from bbsolve._accel import NUMBA_ENABLED
 from bbsolve.baselines import hill_climb, simulated_anneal
 from bbsolve.bench import (
     AlgoSpec,
@@ -46,15 +45,6 @@ from test_gradients import exact_expectation, random_three_mode_setup
 
 def _report(number, text):
     print(f"ACCEPTANCE {number:>2} PASS: {text}")
-
-
-requires_accel = pytest.mark.skipif(
-    not NUMBA_ENABLED,
-    reason="full-budget suite; the uncompiled kernels compute identical runs "
-    "(covered by parity and small-budget tests); its 550k-call SA and HC "
-    "runs take about 9 s per knapsack instance, so the 20-instance suite "
-    "that criteria 9 and 11 share takes about 3 min (measured on a 2-core Xeon)",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +297,6 @@ class TestCriterion8:
         _report(8, "ablation ordering confirmed per class")
 
 
-@requires_accel
 def test_criterion_09_baseline_parity(baseline_suite):
     budget = baseline_suite.budgets[10]
     assert budget == 550_000
@@ -330,7 +319,6 @@ def test_criterion_10_hardware_emulation(hardware_suites):
     _report(10, f"tiled single-loop preset (N=50,S=20) optimum rates: {summary}")
 
 
-@requires_accel
 def test_criterion_11_overlap_union_property(baseline_suite, ablation_suites):
     checked = 0
     for result in [baseline_suite, *ablation_suites.values()]:

@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from bbsolve._accel import NUMBA_ENABLED
+from bbsolve import baselines, problems
 from bbsolve.baselines import AnnealSchedule, hill_climb, simulated_anneal
 from bbsolve.problems import (
     CostFunctionHandle,
@@ -23,16 +21,32 @@ def onemax_handle(m):
     )
 
 
-def logging_handle(handle):
-    """``handle`` without its packed form; the list logs (bits, cost) per call."""
+def bits_of(s, m):
+    return np.array([(s >> k) & 1 for k in range(m - 1, -1, -1)], dtype=np.uint8)
+
+
+@pytest.fixture
+def cost_log(monkeypatch):
+    """Every cost a search reads, as (bits, cost) in read order. The loop
+    runs as Python so it can read through the log."""
     log = []
+    search = baselines._search
 
-    def eval_fn(bits):
-        cost = handle.eval(bits)
-        log.append((bits.copy(), cost))
-        return cost
+    class Logged:
+        def __init__(self, costs, m):
+            self.costs, self.m = costs, m
 
-    return dataclasses.replace(handle, eval=eval_fn, pack=None), log
+        def __getitem__(self, s):
+            cost = self.costs[s]
+            log.append((bits_of(s, self.m), cost))
+            return cost
+
+    def logged_search(kernel, handle, *draws):
+        loop, costs, draws = search(kernel, handle, *draws)
+        return getattr(loop, "py_func", loop), Logged(costs, handle.size), draws
+
+    monkeypatch.setattr(baselines, "_search", logged_search)
+    return log
 
 
 def replay_hill_climb(log, m):
@@ -85,19 +99,17 @@ class TestHillClimb:
             res = hill_climb(onemax_handle(6), budget, np.random.default_rng(1))
             assert res.calls == budget
 
-    def test_best_not_worse_than_any_restart_start(self):
-        handle, log = logging_handle(onemax_handle(7))
-        res = hill_climb(handle, 300, np.random.default_rng(2))
-        starts = [start for start, _ in replay_hill_climb(log, 7)]
-        assert len(log) == res.calls
+    def test_best_not_worse_than_any_restart_start(self, cost_log):
+        res = hill_climb(onemax_handle(7), 300, np.random.default_rng(2))
+        starts = [start for start, _ in replay_hill_climb(cost_log, 7)]
+        assert len(cost_log) == res.calls
         assert len(starts) == res.counters["restarts"] > 1
         assert all(res.best_cost <= c for c in starts)
 
-    def test_abandoned_strings_are_local_optima(self):
+    def test_abandoned_strings_are_local_optima(self, cost_log):
         base = make_handle(gen_deconfliction(4, 2, 0.4, np.random.default_rng(3)))
-        handle, log = logging_handle(base)
-        res = hill_climb(handle, 400, np.random.default_rng(3))
-        restarts = replay_hill_climb(log, 8)
+        res = hill_climb(base, 400, np.random.default_rng(3))
+        restarts = replay_hill_climb(cost_log, 8)
         local_opts = [opt for _, opt in restarts if opt is not None]
         assert len(restarts) == res.counters["restarts"]
         assert len(local_opts) == res.counters["local_optima"] > 1
@@ -129,28 +141,25 @@ class TestSimulatedAnneal:
             res = simulated_anneal(onemax_handle(4), budget, np.random.default_rng(1))
             assert res.calls == budget
 
-    def test_greedy_in_cold_limit(self):
+    def test_greedy_in_cold_limit(self, cost_log):
         # with T ~ 0 only improving moves are ever accepted
-        handle, log = logging_handle(onemax_handle(8))
         res = simulated_anneal(
-            handle,
+            onemax_handle(8),
             2000,
             np.random.default_rng(2),
             schedule=AnnealSchedule(t_max=1e-9, t_min=1e-12),
         )
-        assert res.counters["uphill_accepted"] == replay_uphill(log) == 0
+        assert res.counters["uphill_accepted"] == replay_uphill(cost_log) == 0
 
-    def test_uphill_moves_happen_when_hot(self):
+    def test_uphill_moves_happen_when_hot(self, cost_log):
         # deconfliction has flat moves, which do not count as uphill
-        base = make_handle(gen_deconfliction(4, 2, 0.4, np.random.default_rng(3)))
-        handle, log = logging_handle(base)
         res = simulated_anneal(
-            handle,
+            make_handle(gen_deconfliction(4, 2, 0.4, np.random.default_rng(3))),
             2000,
             np.random.default_rng(3),
             schedule=AnnealSchedule(t_max=25000.0, t_min=2.5),
         )
-        uphill = replay_uphill(log)
+        uphill = replay_uphill(cost_log)
         assert uphill > 0
         assert uphill <= res.counters["uphill_accepted"] <= uphill + 1
 
@@ -165,13 +174,6 @@ class TestSimulatedAnneal:
             AnnealSchedule(t_max=1.0, t_min=2.0)
 
 
-@pytest.mark.skipif(
-    not NUMBA_ENABLED,
-    reason="full-budget statistics: the uncompiled loops walk the identical "
-    "trajectory (see the parity tests) but take about 24 min at R=550k "
-    "(SA and HC together 10 s per knapsack, 25 s per deconfliction and "
-    "37 s per TSP instance, measured on a 2-core Xeon)",
-)
 class TestSizeTenParity:
     """Both searches solve essentially every size-10 instance at the matched
     budget of 550,000 calls, for every problem class."""
@@ -225,12 +227,12 @@ PROBLEMS = {
     "tsp8": lambda: gen_tsp(8, np.random.default_rng(46)),
     "tsp13": lambda: gen_tsp(13, np.random.default_rng(54)),
     "tsp21": lambda: gen_tsp(21, np.random.default_rng(40)),
-    "tsp22": lambda: gen_tsp(22, np.random.default_rng(46)),  # no packed form
+    "tsp22": lambda: gen_tsp(22, np.random.default_rng(46)),  # 66 bits, past int64
 }
 
 # (best_bits, best_cost, calls) at budget 3,000, hill climbing seeded 51 and
 # annealing 52, recorded from the plain-Python searches on handle.eval. They
-# pin the packed costs too: summing TSP legs left to right instead of in
+# pin the cost table too: summing TSP legs left to right instead of in
 # tsp_cost's order changes every TSP entry.
 PINNED = {
     ("knapsack10", "hc"): ("1111001100", 432.0, 3000),
@@ -261,14 +263,30 @@ def test_pinned_results(problem, search):
 
 
 @pytest.mark.parametrize("search", sorted(SEARCHES))
-@pytest.mark.parametrize("problem", [p for p in PROBLEMS if p != "tsp22"])
-def test_packed_cost_matches_handle_eval(problem, search):
-    """The same search on the packed cost and on handle.eval (pack=None)
-    walks the same trajectory: without numba this checks eval_one against
-    eval along whole runs, with numba the compiled loop against its source."""
+@pytest.mark.parametrize("problem", ["knapsack10", "deconfliction10", "tsp8"])
+def test_table_path_matches_eval_path(problem, search, monkeypatch):
+    """The same search reading the cost table and reading handle.eval, as it
+    does above the table limit, walks the same trajectory."""
+    tabled = make_handle(PROBLEMS[problem]())
+    budgets = (1, 2, 17, 700)
+    expected = [SEARCHES[search](tabled, b, np.random.default_rng(b)) for b in budgets]
+    monkeypatch.setattr(problems, "TABLE_LIMIT", 0)
+    evaluated = make_handle(PROBLEMS[problem]())
+    assert evaluated.cost_table is None
+    assert [SEARCHES[search](evaluated, b, np.random.default_rng(b)) for b in budgets] == expected
+
+
+@pytest.mark.parametrize("problem", ["tsp13", "tsp21", "tsp22"])
+def test_costs_above_table_limit_are_exact(problem, cost_log):
+    """Above the table limit a search reads handle.eval of the string its
+    integer state encodes; from 22 points that integer passes 2^63."""
     handle = make_handle(PROBLEMS[problem]())
-    unpacked = dataclasses.replace(handle, pack=None)
-    for budget in (1, 2, 17, 700):
-        packed = SEARCHES[search](handle, budget, np.random.default_rng(budget))
-        plain = SEARCHES[search](unpacked, budget, np.random.default_rng(budget))
-        assert packed == plain
+    assert handle.cost_table is None
+    res = hill_climb(handle, 300, np.random.default_rng(7))
+    assert len(cost_log) == res.calls == 300
+    for bits, cost in cost_log:
+        assert cost == handle.eval(bits)
+    assert res.best_cost == min(cost for _, cost in cost_log)
+    assert res.best_cost == handle.eval(np.array(res.best_bits))
+    if handle.size > 63:
+        assert any(bits[: handle.size - 63].any() for bits, _ in cost_log)

@@ -14,9 +14,13 @@ from bbsolve.fock import (
     output_distribution,
 )
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
-from bbsolve.permanents import exact_distribution, pattern_probability, permanent
-
-from oracles import beamsplitter_blocks, perm_definition
+from oracles import (
+    beamsplitter_blocks,
+    exact_distribution,
+    pattern_probability,
+    perm_definition,
+    permanent,
+)
 
 
 class TestBasis:

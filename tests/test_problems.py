@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from bbsolve import _cost_kernels as ck
+from bbsolve import problems
 from bbsolve.problems import (
     BruteForceResult,
     DeconflictionInstance,
@@ -264,10 +264,10 @@ class TestTspCost:
         )
 
 
-class TestPackedKernel:
-    """``eval_one`` on ``handle.pack`` is the cost the baselines' search
-    loops see on every platform, compiled or not, so it must equal
-    ``handle.eval`` exactly."""
+class TestCostTable:
+    """The cost table is what brute force and the baselines' search loops
+    read for every string up to ``TABLE_LIMIT`` bits, so it must equal
+    ``handle.eval`` exactly, string for string."""
 
     @pytest.mark.parametrize(
         "handle",
@@ -275,21 +275,41 @@ class TestPackedKernel:
             knapsack_handle(gen_knapsack(12, np.random.default_rng(21))),
             deconfliction_handle(gen_deconfliction(4, 3, 0.4, np.random.default_rng(22))),
             tsp_handle(gen_tsp(7, np.random.default_rng(23))),
-            tsp_handle(gen_tsp(13, np.random.default_rng(24))),
-            tsp_handle(gen_tsp(21, np.random.default_rng(25))),
+            tsp_handle(gen_tsp(8, np.random.default_rng(24))),
         ],
-        ids=["knapsack", "deconfliction", "tsp7", "tsp13", "tsp21"],
+        ids=["knapsack", "deconfliction", "tsp7", "tsp8"],
     )
-    def test_eval_one_matches_eval(self, handle):
-        bits = np.random.default_rng(26).integers(0, 2, size=(200, handle.size)).astype(np.uint8)
-        bits[0] = 1
-        packed = [ck.eval_packed(handle.pack, row) for row in bits]
-        np.testing.assert_array_equal(packed, [handle.eval(row) for row in bits])
+    def test_table_matches_eval(self, handle):
+        table = handle.cost_table
+        assert table.shape == (1 << handle.size,)
+        assert handle.cost_table is table  # tabulated once
+        np.testing.assert_array_equal(
+            table, [handle.eval(row) for row in all_bits(handle.size)]
+        )
 
-    def test_tsp_unpacked_from_22_points(self):
-        # 21! >= 2^63: the packed int64 index and modulus would overflow
-        assert tsp_handle(gen_tsp(21, np.random.default_rng(27))).pack is not None
-        assert tsp_handle(gen_tsp(22, np.random.default_rng(28))).pack is None
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # optimum 8 from items {2, 3} (bits 011) and {1, 3} (bits 101)
+            lambda: knapsack_handle(KnapsackInstance((5, 5, 3), (2, 2, 1), 3)),
+            lambda: knapsack_handle(gen_knapsack(10, np.random.default_rng(31))),
+            lambda: deconfliction_handle(gen_deconfliction(4, 2, 0.4, np.random.default_rng(32))),
+            lambda: tsp_handle(gen_tsp(7, np.random.default_rng(33))),
+        ],
+        ids=["tied-knapsack", "knapsack", "deconfliction", "tsp7"],
+    )
+    def test_brute_force_table_matches_chunked_scan(self, make, monkeypatch):
+        tabled = brute_force(make())
+        monkeypatch.setattr(problems, "TABLE_LIMIT", 0)
+        monkeypatch.setattr(problems, "_ENUM_CHUNK", 2)  # ties straddle chunks
+        handle = make()
+        assert handle.cost_table is None
+        assert brute_force(handle) == tabled
+
+    def test_tied_optimum_takes_smallest_string(self):
+        res = brute_force(knapsack_handle(KnapsackInstance((5, 5, 3), (2, 2, 1), 3)))
+        assert res.optimum == 8.0
+        assert res.argopt == (0, 1, 1)
 
 
 class TestBruteForce:

@@ -6,7 +6,6 @@ from bbsolve.engine import _TileRuntime
 from bbsolve.fock import DEFAULT_MAX_DIM, FockStateVector
 from bbsolve.fock import evolve, output_distribution
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
-from bbsolve.permanents import permanent
 from bbsolve.sampling import (
     resolve_backend,
     sample_occupations_sequential,
@@ -15,7 +14,7 @@ from bbsolve.sampling import (
     threshold_pattern,
 )
 
-from oracles import empirical_distribution, threshold_distribution, tv_distance
+from oracles import empirical_distribution, permanent, threshold_distribution, tv_distance
 
 
 def test_threshold_pattern():

@@ -6,6 +6,7 @@ that ``exact_distribution`` enumerates outcomes from.
 """
 
 import itertools
+import math
 from math import comb, factorial
 
 import numpy as np
@@ -187,3 +188,71 @@ def exact_distribution(u: np.ndarray, input_pattern) -> dict[tuple[int, ...], fl
         if p > 0.0:
             dist[tuple(int(v) for v in row)] = p
     return dist
+
+
+# ---------------------------------------------------------------------------
+# baselines: the SA and HC searches on bit arrays and handle.eval
+# ---------------------------------------------------------------------------
+#
+# The production searches move an integer state and read a cost table or a
+# decode of that integer. These walk the same moves on a bit array, call
+# ``handle.eval`` on it, and take the same draws from the Generator in the
+# same order, so a seeded run must match theirs result for result.
+
+
+def hill_climb_bits(handle, budget: int, rng: np.random.Generator):
+    """(best bits, best cost, calls, restarts, local optima)."""
+    m = handle.size
+    sign = -1.0 if handle.sense == "maximize" else 1.0
+    pool = iter(rng.random(2 * budget + m))
+    best_cost, best, calls, restarts, local_optima = np.inf, None, 0, 0, 0
+    while calls < budget:
+        bits = np.array([1 if next(pool) < 0.5 else 0 for _ in range(m)], dtype=np.uint8)
+        current = sign * float(handle.eval(bits))
+        calls += 1
+        restarts += 1
+        untried = list(range(m))
+        while untried and calls < budget:
+            bit = untried[min(int(next(pool) * len(untried)), len(untried) - 1)]
+            bits[bit] ^= 1
+            candidate = sign * float(handle.eval(bits))
+            calls += 1
+            if candidate < current:
+                current = candidate
+                untried = list(range(m))
+            else:
+                bits[bit] ^= 1
+                # the untried set is kept in the kernel's swap-remove order
+                pick = untried.index(bit)
+                untried[pick] = untried[-1]
+                untried.pop()
+        local_optima += not untried
+        if current < best_cost:
+            best_cost, best = current, tuple(int(b) for b in bits)
+    return best, sign * best_cost, calls, restarts, local_optima
+
+
+def anneal_bits(handle, budget: int, rng: np.random.Generator, t_max=25_000.0, t_min=2.5):
+    """(best bits, best cost, calls, uphill moves accepted)."""
+    m = handle.size
+    sign = -1.0 if handle.sense == "maximize" else 1.0
+    init_u = rng.random(m)
+    flip_idx = rng.integers(0, m, size=max(budget - 1, 0))
+    accept_u = rng.random(max(budget - 1, 0))
+    bits = (init_u < 0.5).astype(np.uint8)
+    current = sign * float(handle.eval(bits))
+    best_cost, best, uphill = current, tuple(int(b) for b in bits), 0
+    moves = budget - 1
+    for k in range(moves):
+        temp = t_max * math.exp(math.log(t_min / t_max) * (k / (moves - 1) if moves > 1 else 1.0))
+        bits[flip_idx[k]] ^= 1
+        candidate = sign * float(handle.eval(bits))
+        delta = candidate - current
+        if delta <= 0.0 or accept_u[k] < math.exp(-delta / temp):
+            uphill += delta > 0.0
+            current = candidate
+            if current < best_cost:
+                best_cost, best = current, tuple(int(b) for b in bits)
+        else:
+            bits[flip_idx[k]] ^= 1
+    return best, sign * best_cost, budget, uphill

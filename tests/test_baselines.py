@@ -13,6 +13,8 @@ from bbsolve.problems import (
     make_handle,
 )
 
+from oracles import anneal_bits, hill_climb_bits
+
 
 def onemax_handle(m):
     # minimize -sum(x): optimum is the all-ones string
@@ -262,18 +264,31 @@ def test_pinned_results(problem, search):
     assert res.calls == calls
 
 
+REFERENCES = {"hc": hill_climb_bits, "sa": anneal_bits}
+
+
 @pytest.mark.parametrize("search", sorted(SEARCHES))
-@pytest.mark.parametrize("problem", ["knapsack10", "deconfliction10", "tsp8"])
-def test_table_path_matches_eval_path(problem, search, monkeypatch):
-    """The same search reading the cost table and reading handle.eval, as it
-    does above the table limit, walks the same trajectory."""
+@pytest.mark.parametrize("problem", [p for p in PROBLEMS if p != "tsp22"])
+def test_packed_cost_matches_handle_eval(problem, search, monkeypatch):
+    """The same search on the packed integer state, reading the cost table
+    or, above the table limit, a decode into handle.eval, walks the same
+    trajectory as a search on a bit array calling handle.eval. Up to the
+    limit the eval path, forced by setting the limit to 0, does too."""
+
+    def results(handle, run):
+        return [run(handle, b, np.random.default_rng(b)) for b in (1, 2, 17, 700)]
+
+    def fields(res):
+        return (res.best_bits, res.best_cost, res.calls, *res.counters.values())
+
     tabled = make_handle(PROBLEMS[problem]())
-    budgets = (1, 2, 17, 700)
-    expected = [SEARCHES[search](tabled, b, np.random.default_rng(b)) for b in budgets]
+    assert (tabled.cost_table is None) == (tabled.size > problems.TABLE_LIMIT)
+    packed = results(tabled, SEARCHES[search])
+    assert [fields(r) for r in packed] == results(tabled, REFERENCES[search])
     monkeypatch.setattr(problems, "TABLE_LIMIT", 0)
     evaluated = make_handle(PROBLEMS[problem]())
     assert evaluated.cost_table is None
-    assert [SEARCHES[search](evaluated, b, np.random.default_rng(b)) for b in budgets] == expected
+    assert results(evaluated, SEARCHES[search]) == packed
 
 
 @pytest.mark.parametrize("problem", ["tsp13", "tsp21", "tsp22"])

@@ -6,15 +6,22 @@ The engine always minimizes. Maximization problems are negated inside the
 reported results are in the problem's native sense.
 
 Randomness flows through a single ``numpy.random.Generator`` in a fixed
-order (forward draws, forward flips, then per-theta up/down draws and
-flips, then per-alpha up/down flips), so one seed pins an entire run.
+order, so one seed pins an entire run. An update draws, circuit by circuit
+(the forward pass, then each coupler's +shift and -shift circuits), every
+tile's samples and then the circuit's flip uniforms; a statevector tile
+draws S uniforms and inverts its CDF, a sequential tile draws its photon
+orders and placement uniforms. Then come the uniforms of both bit-flip
+passes of every bit, in one draw. Only then are a sequential tile's photons
+placed, for all its circuits in one pass, and every candidate of the update
+costed in one ledger batch. Placing and costing draw nothing, and the
+ledger keeps the first strict optimum in call order, so the result is the
+one a loop of separate passes, each costed on its own, would give.
 """
 
 import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +44,7 @@ from .interferometer import (
     shifted_unitaries,
 )
 from .problems import SENSE_MAX, CostFunctionHandle
-from .sampling import draw_from_cdf, resolve_backend, sample_occupations_sequential
+from .sampling import draw_from_cdf, draw_placements, resolve_backend, sample_occupations_sequential
 
 
 def sigmoid(x):
@@ -262,19 +269,38 @@ def apply_bitflips(bits, probs, rng: np.random.Generator) -> np.ndarray:
     return _flip_bits(bits, probs, rng)[0]
 
 
-def _flip_bits(raw, probs, rng, force_index=None, force_up=False, uniforms=None):
-    """Flip bit j of every row independently with probability ``probs[j]``.
-
-    ``force_index`` pins that bit's flip decision to ``force_up``. Passing
-    the uniforms an earlier call returned reuses its draws instead of
-    drawing fresh ones. Returns (flipped bits, uniforms used).
+def _flip_bits(raw, probs, rng, uniforms=None):
+    """Flip each bit where its uniform falls below its probability in
+    ``probs``, which broadcasts against ``raw``. Uniforms are drawn unless
+    given. Returns (flipped bits, uniforms used).
     """
     if uniforms is None:
         uniforms = rng.random(raw.shape)
-    flips = uniforms < probs
-    if force_index is not None:
-        flips[..., force_index] = force_up
-    return raw ^ flips.astype(np.uint8), uniforms
+    return raw ^ (uniforms < probs).astype(np.uint8), uniforms
+
+
+def _bitflip_passes(raw, probs, bits, rng, crn):
+    """Rows, uniforms and flip probabilities of two bit-flip passes per bit
+    ``i`` in ``bits``, each on all of ``raw``: bit i flipped with probability
+    1, then with probability 0, every other bit with its ``probs``. Uniforms
+    lie in [0, 1), so the forced bit never depends on them. Both passes of a
+    bit share their uniforms under ``crn``; otherwise each pass draws its
+    own. All come from one draw, in pass order.
+    """
+    k, (count, m) = len(bits), raw.shape
+    uniforms = rng.random((k, 1 if crn else 2, count, m))
+    uniforms = np.broadcast_to(uniforms, (k, 2, count, m)).reshape(2 * k, count, m)
+    forced = np.tile(probs, (k, 2, 1))
+    forced[np.arange(k), 0, bits] = 1.0
+    forced[np.arange(k), 1, bits] = 0.0
+    return np.broadcast_to(raw, (2 * k, count, m)), uniforms, forced.reshape(2 * k, 1, m)
+
+
+def _pass_means(ledger, candidates) -> list:
+    """Cost every pass's candidates, ``candidates[p]`` being pass p's rows,
+    in one ledger batch; returns one mean cost per pass."""
+    costs = ledger.evaluate_batch(candidates.reshape(-1, candidates.shape[-1]))
+    return costs.reshape(len(candidates), -1).mean(axis=1).tolist()
 
 
 # a shared coupler takes at most this many floats of states (4 MB) per
@@ -361,20 +387,29 @@ class _TileRuntime:
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
         return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
-    def _draw_sequential(self, row: int, rng, count: int) -> np.ndarray:
-        occ = sample_occupations_sequential(self.unitaries[row], self.input, rng, count)
-        return (occ > 0).astype(np.uint8)
-
-    def sample_base(self, rng, count: int) -> np.ndarray:
+    def draw(self, shift, rng, count: int):
+        """Draw ``count`` samples of one circuit: the unshifted one when
+        ``shift`` is None, else coupler ``local_c`` at theta + s (``up``) or
+        theta - s for ``shift = (local_c, up)``. A statevector tile returns
+        the samples; a sequential tile the photon orders and placement
+        uniforms that :meth:`place` turns into samples."""
         if self.backend == "statevector":
-            return self._draw_from_cdf(self.cdfs[0], rng, count)
-        return self._draw_sequential(0, rng, count)
+            cdf = self.cdfs[0] if shift is None else self.shifted_cdf(*shift)
+            return self._draw_from_cdf(cdf, rng, count)
+        return draw_placements(rng, count, self.n)
 
-    def sample_shifted(self, local_c: int, up: bool, rng, count: int) -> np.ndarray:
-        """Samples with coupler ``local_c`` at theta + shift (``up``) or theta - shift."""
+    def place(self, shifts, draws, count: int) -> np.ndarray:
+        """(circuits, count, m) samples of the circuits ``shifts`` from the
+        :meth:`draw` of each; a sequential tile places all their photons in
+        one pass."""
         if self.backend == "statevector":
-            return self._draw_from_cdf(self.shifted_cdf(local_c, up), rng, count)
-        return self._draw_sequential(_shift_row(local_c, up), rng, count)
+            return np.stack(draws)
+        rows = [0 if shift is None else _shift_row(*shift) for shift in shifts]
+        orders, step_u = (np.concatenate(part) for part in zip(*draws))
+        occ = sample_occupations_sequential(
+            self.unitaries[rows], self.input, (orders, step_u), len(rows) * count
+        )
+        return (occ > 0).astype(np.uint8).reshape(len(rows), count, self.m)
 
 
 class _RunState:
@@ -420,55 +455,78 @@ class _RunState:
         for tile, sl in zip(self.tiles, self.slices):
             tile.set_thetas(self.params.thetas[sl])
 
-    def _draw_raw(self, shifted_tile=None, local_c=None, up=True) -> np.ndarray:
-        cols = []
-        for t, tile in enumerate(self.tiles):
-            if t == shifted_tile:
-                cols.append(tile.sample_shifted(local_c, up, self.rng, self.samples))
-            else:
-                cols.append(tile.sample_base(self.rng, self.samples))
-        return np.concatenate(cols, axis=1)
+    def _flip(self, raw: np.ndarray, uniforms=None, probs=None):
+        probs = self.params.probs if probs is None else probs
+        return _flip_bits(raw, probs, self.rng, uniforms)
 
-    def _flip(self, raw: np.ndarray, force_index=None, force_up=False, uniforms=None):
-        return _flip_bits(raw, self.params.probs, self.rng, force_index, force_up, uniforms)
+    def _passes(self, circuits, bits=(), raw=None):
+        """Mean cost of every pass, from one draw, one placement per tile,
+        one flip and one ledger batch.
+
+        ``circuits`` lists sampled passes: None for the unshifted circuit,
+        ``(c, up)`` for coupler c at theta_c + shift (``up``) or theta_c -
+        shift. Each bit in ``bits`` then adds its two bit-flip passes (see
+        :func:`_bitflip_passes`) on ``raw``, by default the first circuit's
+        samples. Returns (one mean per pass, in that order; raw).
+        """
+        count, m, rng, probs = self.samples, self.plan.size, self.rng, self.params.probs
+        shifts = [[None] * len(circuits) for _ in self.tiles]
+        for k, circuit in enumerate(circuits):
+            if circuit is not None:
+                t, local_c = self.coupler_map[circuit[0]]
+                shifts[t][k] = (local_c, circuit[1])
+        draws = [[] for _ in self.tiles]
+        uniforms = []
+        for k in range(len(circuits)):
+            for t, tile in enumerate(self.tiles):
+                draws[t].append(tile.draw(shifts[t][k], rng, count))
+            uniforms.append(rng.random((count, m)))
+        passes = []
+        if circuits:
+            sampled = np.concatenate(
+                [tile.place(shifts[t], draws[t], count) for t, tile in enumerate(self.tiles)],
+                axis=-1,
+            )
+            circuit_probs = np.broadcast_to(probs, (len(circuits), 1, m))
+            passes.append((sampled, np.stack(uniforms), circuit_probs))
+            if raw is None:
+                raw = sampled[0]
+        if len(bits):
+            passes.append(_bitflip_passes(raw, probs, bits, rng, self.crn))
+        candidates, _ = self._flip(*(np.concatenate(part) for part in zip(*passes)))
+        return _pass_means(self.ledger, candidates), raw
+
+    def update(self):
+        """One update: the forward pass, both shift-rule passes of every
+        coupler, and both bit-flip passes of every bit on the forward
+        samples. Returns (loss, theta gradients, alpha gradients)."""
+        count = self.plan.total_thetas
+        circuits = [None] + [(c, up) for c in range(count) for up in (True, False)]
+        means, _ = self._passes(circuits, np.arange(self.plan.size))
+        pairs = np.reshape(means[1:], (-1, 2))
+        theta_grads = [
+            shift_rule_value(up, down, self.shift, self.scale) for up, down in pairs[:count]
+        ]
+        alpha_grads = [
+            bitflip_grad_value(alpha, up, down)
+            for alpha, (up, down) in zip(self.params.alphas, pairs[count:])
+        ]
+        return means[0], np.array(theta_grads), np.array(alpha_grads)
 
     def forward_pass(self):
         """Sample, flip, evaluate; returns (mean internal cost, raw samples)."""
-        raw = self._draw_raw()
-        candidates, _ = self._flip(raw)
-        costs = self.ledger.evaluate_batch(candidates)
-        return float(costs.mean()), raw
+        means, raw = self._passes([None])
+        return means[0], raw
 
     def theta_gradient(self, index: int) -> float:
-        t, local_c = self.coupler_map[index]
-        means = []
-        for up in (True, False):
-            raw = self._draw_raw(shifted_tile=t, local_c=local_c, up=up)
-            candidates, _ = self._flip(raw)
-            means.append(float(self.ledger.evaluate_batch(candidates).mean()))
-        return shift_rule_value(means[0], means[1], self.shift, self.scale)
+        means, _ = self._passes([(index, True), (index, False)])
+        return shift_rule_value(*means, self.shift, self.scale)
 
     def alpha_gradient(self, index: int, raw: np.ndarray) -> float:
         if raw.shape[0] == 0:
             raise ValueError("no stored samples for the bit-flip gradient")
-        return _bitflip_gradient(
-            self._flip, self.ledger, raw, index, self.params.alphas[index], self.crn
-        )
-
-
-def _bitflip_gradient(flip, ledger, raw, index, alpha, crn):
-    """E[C | bit ``index`` flipped] minus E[C | not flipped], times f'(alpha).
-
-    ``flip(raw, force_index=, force_up=, uniforms=)`` is a bound
-    :func:`_flip_bits`. With ``crn`` the second pass reuses the first
-    pass's uniforms; otherwise it draws fresh ones.
-    """
-    up, uniforms = flip(raw, force_index=index, force_up=True)
-    e_up = float(ledger.evaluate_batch(up).mean())
-    shared = uniforms if crn else None
-    down, _ = flip(raw, force_index=index, force_up=False, uniforms=shared)
-    e_down = float(ledger.evaluate_batch(down).mean())
-    return bitflip_grad_value(alpha, e_up, e_down)
+        means, _ = self._passes([], [index], raw)
+        return bitflip_grad_value(self.params.alphas[index], *means)
 
 
 def sgd_update(
@@ -583,16 +641,10 @@ def run_bbs(
         max_dim=config.max_dim,
     )
     trace = TrainingTrace()
-    n_thetas = plan.total_thetas
     for step in range(1, config.updates + 1):
-        state.refresh()
-        loss, raw = state.forward_pass()
-        theta_grads = np.array(
-            [state.theta_gradient(c) for c in range(n_thetas)]
-        )
-        alpha_grads = np.array(
-            [state.alpha_gradient(i, raw) for i in range(plan.size)]
-        )
+        if step > 1:  # _RunState set up the tiles for the first update
+            state.refresh()
+        loss, theta_grads, alpha_grads = state.update()
         new_params = sgd_update(
             state.params, theta_grads, alpha_grads, config.lr_theta, config.lr_alpha
         )
@@ -651,5 +703,6 @@ def grad_alpha(raw_samples, params, index, problem, ledger=None, rng=None, crn=F
     ledger = ledger if isinstance(ledger, EvalLedger) else EvalLedger(ledger or problem)
     if rng is None:
         rng = np.random.default_rng(0)
-    flip = partial(_flip_bits, probs=sigmoid(params.alphas), rng=rng)
-    return _bitflip_gradient(flip, ledger, raw, index, params.alphas[index], crn)
+    rows, uniforms, probs = _bitflip_passes(raw, sigmoid(params.alphas), [index], rng, crn)
+    candidates, _ = _flip_bits(rows, probs, rng, uniforms)
+    return bitflip_grad_value(params.alphas[index], *_pass_means(ledger, candidates))

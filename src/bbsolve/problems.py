@@ -307,11 +307,11 @@ class BruteForceResult:
 def _cost_chunks(handle: CostFunctionHandle):
     """(first index, costs) of every string in big-endian order, _ENUM_CHUNK
     strings at a time."""
-    m = handle.size
-    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    m = handle.size  # at most BRUTE_FORCE_LIMIT, so every index fits 32 bits
     for start in range(0, 1 << m, _ENUM_CHUNK):
-        ints = np.arange(start, min(start + _ENUM_CHUNK, 1 << m), dtype=np.uint64)
-        yield start, handle.batch(((ints[:, None] >> shifts) & 1).astype(np.uint8))
+        ints = np.arange(start, min(start + _ENUM_CHUNK, 1 << m), dtype=">u4")
+        bits = np.unpackbits(ints.view(np.uint8).reshape(-1, 4), axis=1)
+        yield start, handle.batch(bits[:, 32 - m :])
 
 
 def brute_force(handle: CostFunctionHandle, limit: int = BRUTE_FORCE_LIMIT) -> BruteForceResult:

@@ -13,7 +13,13 @@ Two interchangeable backends draw occupation samples from a circuit:
   statevector bound.
 
 Both consume randomness only through the caller's numpy Generator, so a
-seed pins the full sample sequence.
+seed pins the full sample sequence. The sequential sampler splits drawing
+from placing: :func:`draw_placements` draws each sample's photon order and
+placement uniforms, and :func:`sample_occupations_sequential` places the
+photons of rows drawn earlier, from a stack of unitaries if need be. The
+training engine thus draws every circuit of an update in order and places
+all their photons in one pass (Clifford & Clifford's batched subset table
+across circuits as well as across samples).
 """
 
 import numpy as np
@@ -102,27 +108,39 @@ def _place_photons(a, step_u):
     return rows
 
 
-def sample_occupations_sequential(
-    u: np.ndarray,
-    input_pattern,
-    rng: np.random.Generator,
-    count: int,
-) -> np.ndarray:
-    """Per-sample conditional sampler on the mode unitary ``u``."""
-    inp = validate_pattern(input_pattern, u.shape[0])
-    cols = np.repeat(np.arange(u.shape[0], dtype=np.int64), inp)
+def draw_placements(rng: np.random.Generator, count: int, n: int):
+    """The photon orders and placement uniforms of ``count`` samples of ``n``
+    photons, drawn as :func:`sample_occupations_sequential` draws them."""
+    orders = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (count, 1)), axis=1)
+    return orders, rng.random((count, n))
+
+
+def sample_occupations_sequential(u: np.ndarray, input_pattern, draws, count: int) -> np.ndarray:
+    """Per-sample conditional sampler on the mode unitary ``u``.
+
+    ``draws`` is a Generator, or the ``(orders, uniforms)`` of all ``count``
+    samples that :func:`draw_placements` drew from one earlier. ``u`` may be
+    a stack of C unitaries that share the ``count`` rows evenly, in stack
+    order: rows of different circuits then share each placement pass.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    stack = u.reshape(-1, *u.shape[-2:])
+    if count % len(stack):
+        raise ValueError(f"{count} rows do not split evenly over {len(stack)} unitaries")
+    m = u.shape[-1]
+    inp = validate_pattern(input_pattern, m)
+    cols = np.repeat(np.arange(m, dtype=np.int64), inp)
     n = cols.size
-    occ = np.zeros((count, u.shape[0]), dtype=np.int64)
+    occ = np.zeros((count, m), dtype=np.int64)
     if n == 0:
         return occ
-    orders = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (count, 1)), axis=1)
-    step_u = rng.random((count, n))
-    u = np.asarray(u, dtype=np.float64)
+    orders, step_u = draws if isinstance(draws, tuple) else draw_placements(draws, count, n)
+    circuit = np.arange(count) // (count // len(stack))
     chunk = max(1, _TABLE_FLOATS // (n << n))
     for lo in range(0, count, chunk):
         part = slice(lo, lo + chunk)
-        a = np.ascontiguousarray(u[:, cols[orders[part]]].transpose(1, 0, 2))
-        rows = _place_photons(a, step_u[part])
+        a = stack[circuit[part, None], :, cols[orders[part]]].transpose(0, 2, 1)
+        rows = _place_photons(np.ascontiguousarray(a), step_u[part])
         np.add.at(occ, (np.arange(lo, lo + len(rows))[:, None], rows), 1)
     return occ
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (factorial/exponential enumeration)
 and shares no code with the production paths it checks, bar the Fock basis
-that ``exact_distribution`` enumerates outcomes from.
+that ``exact_distribution`` enumerates outcomes from, and the circuit
+state, samplers, ledger and SGD step that ``per_pass_run`` reuses to check
+only how the training update orders and groups them.
 """
 
 import itertools
@@ -11,7 +13,9 @@ from math import comb, factorial
 
 import numpy as np
 
+from bbsolve import engine
 from bbsolve.fock import get_basis
+from bbsolve.sampling import draw_from_cdf, sample_occupations_sequential
 
 
 def perm_definition(mat) -> complex:
@@ -256,3 +260,91 @@ def anneal_bits(handle, budget: int, rng: np.random.Generator, t_max=25_000.0, t
         else:
             bits[flip_idx[k]] ^= 1
     return best, sign * best_cost, budget, uphill
+
+
+# ---------------------------------------------------------------------------
+# the training update as a loop of separate passes
+# ---------------------------------------------------------------------------
+#
+# ``engine.run_bbs`` draws a whole update first, then places and costs it
+# together. This loop runs every pass on its own, as the engine once did:
+# each pass draws its samples tile by tile, then its flip uniforms, and
+# costs its S rows in a ledger call of its own. A seeded run must match
+# ``run_bbs`` value for value.
+
+
+def per_pass_run(problem, config):
+    """Losses, best costs, best bits and cost, calls, unique candidates and
+    the final parameters of ``run_bbs(problem, config)``."""
+    plan = engine.make_plan(problem.size, config)
+    budget = engine.budget_bound(
+        problem.size, updates=config.updates, samples=config.samples, tile_plan=plan
+    )
+    rng = np.random.default_rng(config.seed)
+    params = engine.init_params(plan, rng)
+    ledger = engine.EvalLedger(problem, budget)
+    tiles = [
+        engine._TileRuntime(layout, config.sampler_backend, config.max_dim, config.shift)
+        for layout in plan.layouts
+    ]
+    couplers = [
+        (t, c) for t, layout in enumerate(plan.layouts) for c in range(layout.coupler_count)
+    ]
+    count, m = config.samples, problem.size
+
+    def sample(tile, row):
+        if tile.backend == "statevector":
+            return tile.basis.thresholded[draw_from_cdf(tile.cdfs[row], rng, count)]
+        occ = sample_occupations_sequential(tile.unitaries[row], tile.input, rng, count)
+        return (occ > 0).astype(np.uint8)
+
+    def flip(raw, force=None, force_up=False, uniforms=None):
+        if uniforms is None:
+            uniforms = rng.random(raw.shape)
+        flips = uniforms < params.probs
+        if force is not None:
+            flips[:, force] = force_up
+        return raw ^ flips.astype(np.uint8), uniforms
+
+    def mean_cost(candidates):
+        return float(ledger.evaluate_batch(candidates).mean())
+
+    def sampled_pass(shifted_tile=None, row=0):
+        raw = np.concatenate(
+            [sample(tile, row if t == shifted_tile else 0) for t, tile in enumerate(tiles)], axis=1
+        )
+        return mean_cost(flip(raw)[0]), raw
+
+    losses, best_costs = [], []
+    for _ in range(config.updates):
+        for tile, sl in zip(tiles, plan.theta_slices()):
+            tile.set_thetas(params.thetas[sl])
+        loss, raw = sampled_pass()
+        theta_grads = []
+        for t, c in couplers:
+            e_up, _ = sampled_pass(t, 2 * c + 1)
+            e_down, _ = sampled_pass(t, 2 * c + 2)
+            theta_grads.append(config.gradient_scale * (e_up - e_down) / math.sin(config.shift))
+        alpha_grads = []
+        for i in range(m):
+            up, uniforms = flip(raw, i, True)
+            e_up = mean_cost(up)
+            down, _ = flip(raw, i, False, uniforms if config.crn else None)
+            e_down = mean_cost(down)
+            sig = 1.0 / (1.0 + np.exp(-params.alphas[i]))
+            alpha_grads.append(float(sig * (1.0 - sig)) * (e_up - e_down))
+        params = engine.sgd_update(
+            params, np.array(theta_grads), np.array(alpha_grads), config.lr_theta, config.lr_alpha
+        )
+        losses.append(loss)
+        best_costs.append(ledger.best_internal)
+    return {
+        "losses": losses,
+        "best_costs": best_costs,
+        "best_bits": ledger.best_bits,
+        "best_cost": ledger.best_native,
+        "calls": ledger.call_count,
+        "unique_evals": ledger.unique_count,
+        "thetas": params.thetas.tolist(),
+        "alphas": params.alphas.tolist(),
+    }

@@ -29,10 +29,12 @@ from bbsolve.problems import (
     CostFunctionHandle,
     brute_force,
     gen_knapsack,
+    gen_tsp,
     knapsack_handle,
+    tsp_handle,
 )
 
-from oracles import candidate_distribution, threshold_distribution
+from oracles import candidate_distribution, per_pass_run, threshold_distribution
 
 
 def constant_handle(m, value=7.0):
@@ -709,3 +711,104 @@ class TestRunBbs:
         rows = path.read_text().strip().splitlines()
         assert rows[0].startswith("step,loss,best_cost,p_1")
         assert len(rows) == 4
+
+
+class TestOnePassUpdate:
+    """An update draws every pass first, then places and costs them together;
+    a seeded run must equal the loop of separate passes in ``oracles``."""
+
+    SAMPLES = [1, 2, 7, 8, 9, 50]
+
+    @staticmethod
+    def check(monkeypatch, handle, config):
+        updates = []
+        step = engine.sgd_update
+
+        def spy(*args, **kwargs):
+            updates.append(step(*args, **kwargs))
+            return updates[-1]
+
+        monkeypatch.setattr(engine, "sgd_update", spy)
+        result = run_bbs(handle, config)
+        final = updates[-1]
+        want = per_pass_run(handle, config)
+        assert result.trace.losses == want["losses"]
+        assert result.trace.best_costs == want["best_costs"]
+        assert result.best_bits == want["best_bits"]
+        assert result.best_cost == want["best_cost"]
+        assert (result.calls, result.unique_evals) == (want["calls"], want["unique_evals"])
+        assert final.thetas.tolist() == want["thetas"]
+        assert final.alphas.tolist() == want["alphas"]
+
+    @pytest.mark.parametrize("crn", [False, True])
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_statevector_untiled(self, monkeypatch, samples, crn):
+        # tour lengths are inexact floats, so each mean depends on its summation order
+        handle = tsp_handle(gen_tsp(6, np.random.default_rng(40)))
+        config = BbsConfig(updates=3, samples=samples, seed=41, loop_lengths=(1, 3), crn=crn)
+        self.check(monkeypatch, handle, config)
+
+    @pytest.mark.parametrize("samples", [1, 7])
+    def test_tiled_plan(self, monkeypatch, samples):
+        handle = knapsack_handle(gen_knapsack(10, np.random.default_rng(42)))
+        config = BbsConfig(updates=3, samples=samples, seed=43, loop_lengths=(1, 3), tile_size=5)
+        self.check(monkeypatch, handle, config)
+
+    @pytest.mark.parametrize("crn", [False, True])
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_sequential_backend(self, monkeypatch, samples, crn):
+        handle = tsp_handle(gen_tsp(6, np.random.default_rng(44)))
+        config = BbsConfig(
+            updates=2, samples=samples, seed=45, loop_lengths=(1, 3), crn=crn,
+            sampler_backend="sequential",
+        )
+        self.check(monkeypatch, handle, config)
+
+    def test_sequential_tiled_plan(self, monkeypatch):
+        handle = knapsack_handle(gen_knapsack(10, np.random.default_rng(46)))
+        config = BbsConfig(
+            updates=2, samples=3, seed=47, loop_lengths=(1, 3), tile_size=5,
+            sampler_backend="sequential",
+        )
+        self.check(monkeypatch, handle, config)
+
+    def test_frozen_thetas(self, monkeypatch):
+        handle = knapsack_handle(gen_knapsack(8, np.random.default_rng(48)))
+        config = BbsConfig(updates=4, samples=8, seed=49, loop_lengths=(1, 3), lr_theta=0.0)
+        self.check(monkeypatch, handle, config)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_row_means_equal_separate_means(self, samples):
+        # a cost table of inexact floats: every row's costs are the same in
+        # one batch or in its own, so only the means' summation can differ
+        m, passes = 8, 55
+        rng = np.random.default_rng(samples)
+        table = rng.normal(scale=1e3, size=1 << m)
+        weights = 1 << np.arange(m - 1, -1, -1)
+        handle = CostFunctionHandle(
+            size=m, sense="minimize", eval=lambda bits: float(table[bits @ weights]),
+            kind="table", eval_batch=lambda mat: table[mat.astype(np.int64) @ weights],
+        )
+        candidates = rng.integers(0, 2, (passes, samples, m)).astype(np.uint8)
+        separate = [float(EvalLedger(handle).evaluate_batch(rows).mean()) for rows in candidates]
+        assert engine._pass_means(EvalLedger(handle), candidates) == separate
+
+    def test_tied_optima_keep_the_first_in_call_order(self, monkeypatch):
+        # every string with at most one set bit is optimal
+        rows = []
+
+        def cost(mat):
+            rows.append(mat.copy())
+            return (mat.sum(axis=1) > 1).astype(float)
+
+        handle = CostFunctionHandle(
+            size=6, sense="minimize", eval=lambda bits: float(bits.sum() > 1), kind="tied",
+            eval_batch=cost,
+        )
+        config = BbsConfig(updates=3, samples=5, seed=50, loop_lengths=(1, 3))
+        result = run_bbs(handle, config)
+        called = np.concatenate(rows)
+        optima = called[called.sum(axis=1) <= 1]
+        assert len({tuple(row) for row in optima}) > 1
+        assert result.best_bits == tuple(optima[0])
+        self.check(monkeypatch, handle, config)

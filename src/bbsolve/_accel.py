@@ -22,21 +22,6 @@ _flag = os.environ.get("BBS_NO_NUMBA", "0").strip().lower()
 NUMBA_ENABLED = _numba is not None and _flag in ("", "0", "false", "no")
 
 
-def maybe_njit(*jit_args, **jit_kwargs):
-    """Return ``numba.njit`` when acceleration is on, identity otherwise.
-
-    Usable both bare (``@maybe_njit``) and with options
-    (``@maybe_njit(cache=True)``).
-    """
-    if jit_args and callable(jit_args[0]) and not jit_kwargs:
-        func = jit_args[0]
-        if NUMBA_ENABLED:
-            return _numba.njit(cache=True)(func)
-        return func
-
-    def decorate(func):
-        if NUMBA_ENABLED:
-            return _numba.njit(*jit_args, **jit_kwargs)(func)
-        return func
-
-    return decorate
+def maybe_njit(func):
+    """``numba.njit(cache=True)(func)`` when acceleration is on, else ``func``."""
+    return _numba.njit(cache=True)(func) if NUMBA_ENABLED else func

@@ -96,7 +96,7 @@ def _bits(s, m):
 # evaluations, so 2R + m draws can never run out.
 
 
-@maybe_njit(cache=True)
+@maybe_njit
 def _hc_kernel(costs, sign, m, budget, pool):
     """Returns (best cost, best string, calls, restarts, strings abandoned
     as local optima)."""
@@ -178,7 +178,7 @@ def hill_climb(
 # ---------------------------------------------------------------------------
 
 
-@maybe_njit(cache=True)
+@maybe_njit
 def _sa_kernel(costs, sign, m, budget, init_u, flip_idx, accept_u, t_max, t_min):
     """Returns (best cost, best string, uphill moves accepted)."""
     s = 0

@@ -10,7 +10,6 @@ without sampling anything.
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -23,24 +22,17 @@ from .baselines import AnnealSchedule, hill_climb, simulated_anneal
 from .bench import (
     AlgoSpec,
     ExperimentSuite,
+    _bbs_config_for,
     emit_report,
     format_summary_table,
+    generate_instance,
     run_suite,
     suite_budget,
-    tsp_points_for_size,
 )
 from .engine import BbsConfig, budget_bound, make_plan, run_bbs
 from .fock import fock_dim
 from .interferometer import input_pattern
-from .problems import (
-    gen_deconfliction,
-    gen_knapsack,
-    gen_tsp,
-    load_instance,
-    make_handle,
-    save_instance,
-    tsp_bit_length,
-)
+from .problems import load_instance, make_handle, save_instance
 
 _BENCH_CONFIG_KEYS = {
     "problem", "sizes", "instances_per_size", "algorithms", "seed",
@@ -77,11 +69,58 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _clamped_tile_size(tile_size: int, m: int) -> int:
-    if tile_size and tile_size > m:
-        warnings.warn(f"tile_size {tile_size} > problem size {m}; running untiled")
-        return 0
-    return tile_size
+def _pick(flags: dict, sources=()) -> dict:
+    """The settings that are set. Each key of ``flags`` takes its flag's
+    value, else the value of the first of ``sources`` (the config file, then
+    the preset) that holds the key. A key set nowhere is left out, so the
+    dataclass it feeds keeps its own default."""
+    picked = {}
+    for key, flag in flags.items():
+        value = flag if flag is not None else next((s[key] for s in sources if key in s), None)
+        if value is not None:
+            picked[key] = value
+    return picked
+
+
+def _typed(cls, picked: dict) -> dict:
+    """``picked`` cast to the types of ``cls``'s defaults: a config file may
+    hold ``"3"`` or ``1`` where a count or a float is meant."""
+    return {key: type(getattr(cls, key))(value) for key, value in picked.items()}
+
+
+def _run_settings(args, sources=()) -> tuple[BbsConfig, AnnealSchedule]:
+    """The trainer and annealer settings of a solve or bench run."""
+    picked = _pick(
+        {
+            "updates": args.updates,
+            "samples": args.samples,
+            "lr_theta": args.lr_theta,
+            "lr_alpha": args.lr_alpha,
+            "shift": args.shift,
+            "loops": _parse_int_list(args.loops) if args.loops else None,
+            "tile_size": args.tile_size,
+            "sampler_backend": args.backend,
+            "t_max": args.t_max,
+            "t_min": args.t_min,
+        },
+        sources,
+    )
+    loops = picked.pop("loops", None)
+    temperatures = {key: picked.pop(key) for key in ("t_max", "t_min") if key in picked}
+    bbs = BbsConfig(**_typed(BbsConfig, picked))
+    if loops:
+        bbs = replace(bbs, loop_lengths=tuple(loops))
+    return bbs, AnnealSchedule(**_typed(AnnealSchedule, temperatures))
+
+
+def _warn_untiled(tile_size: int, sizes) -> None:
+    for m in sizes:
+        if tile_size > m:
+            warnings.warn(f"tile_size {tile_size} > problem size {m}; running untiled")
+
+
+def _fock_dims(plan) -> list[int]:
+    return [fock_dim(l.modes, int(input_pattern(l.modes).sum())) for l in plan.layouts]
 
 
 # ---------------------------------------------------------------------------
@@ -90,29 +129,22 @@ def _clamped_tile_size(tile_size: int, m: int) -> int:
 
 
 def cmd_gen(args) -> int:
+    suite = ExperimentSuite(
+        problem=args.kind,
+        sizes=(args.size,),
+        seed_base=args.seed,
+        maneuvers=args.maneuvers,
+        conflict_rate=args.conflict_rate,
+        capacity_ratio=args.capacity_ratio,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
-        child = np.random.default_rng([args.seed, args.size, index])
-        if args.kind == "knapsack":
-            inst = gen_knapsack(args.size, child, capacity_ratio=args.capacity_ratio)
-        elif args.kind == "deconfliction":
-            if args.size % args.maneuvers:
-                print(
-                    f"error: size {args.size} not divisible by K={args.maneuvers}",
-                    file=sys.stderr,
-                )
-                return 2
-            inst = gen_deconfliction(
-                args.size // args.maneuvers, args.maneuvers, args.conflict_rate, child
-            )
-        else:
-            try:
-                n_points = tsp_points_for_size(args.size)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            inst = gen_tsp(n_points, child)
+        try:
+            inst = generate_instance(suite, args.size, index)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         path = out / f"{args.kind}_{args.size}_{index}.json"
         save_instance(inst, path)
         print(path)
@@ -124,27 +156,6 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_bbs_config(args, m: int) -> BbsConfig:
-    loops = _parse_int_list(args.loops) if args.loops else None
-    kwargs = dict(
-        updates=args.updates,
-        samples=args.samples,
-        lr_theta=args.lr_theta,
-        lr_alpha=args.lr_alpha,
-        shift=args.shift,
-        loop_lengths=loops,
-        tile_size=_clamped_tile_size(args.tile_size, m),
-        seed=args.seed,
-        sampler_backend=args.backend,
-    )
-    if args.ablate == "no_theta":
-        kwargs["lr_theta"] = 0.0
-    elif args.ablate == "no_all":
-        kwargs["lr_theta"] = 0.0
-        kwargs["lr_alpha"] = 0.0
-    return BbsConfig(**kwargs)
-
-
 def cmd_solve(args) -> int:
     try:
         instance = load_instance(args.instance)
@@ -153,14 +164,15 @@ def cmd_solve(args) -> int:
         return 2
     handle = make_handle(instance)
     m = handle.size
-    cfg = _solve_bbs_config(args, m)
+    base, schedule = _run_settings(args)
+    _warn_untiled(base.tile_size, [m])
+    cfg = _bbs_config_for(AlgoSpec("bbs", ablation=args.ablate or "full"), base, args.seed)
     plan = make_plan(m, cfg)
     bound = budget_bound(m, updates=cfg.updates, samples=cfg.samples, tile_plan=plan)
     if args.dry_run:
-        dims = [fock_dim(l.modes, int(input_pattern(l.modes).sum())) for l in plan.layouts]
         print(f"budget_bound: {bound}")
         print(f"tile sizes: {[s for _, s in plan.blocks]}")
-        print(f"fock dimensions: {dims}")
+        print(f"fock dimensions: {_fock_dims(plan)}")
         return 0
     budget = args.budget if args.budget else bound
     rng = np.random.default_rng(args.seed)
@@ -169,10 +181,7 @@ def cmd_solve(args) -> int:
         if args.trace:
             result.trace.write_csv(args.trace)
     elif args.alg == "sa":
-        result = simulated_anneal(
-            handle, budget, rng, schedule=AnnealSchedule(args.t_max, args.t_min),
-            seed=args.seed,
-        )
+        result = simulated_anneal(handle, budget, rng, schedule=schedule, seed=args.seed)
     else:
         result = hill_climb(handle, budget, rng, seed=args.seed)
     payload = result.to_json_dict()
@@ -190,65 +199,49 @@ def cmd_solve(args) -> int:
 
 def _suite_from_args(args, ablation: bool) -> tuple[ExperimentSuite, dict]:
     file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(key, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    preset = HARDWARE_PRESET if getattr(args, "hardware_emulation", False) else {}
-    updates = int(pick("updates", args.updates, preset.get("updates", 200)))
-    samples = int(pick("samples", args.samples, preset.get("samples", 50)))
-    loops = pick("loops", _parse_int_list(args.loops) if args.loops else None,
-                 preset.get("loops"))
-    tile_size = int(pick("tile_size", args.tile_size, preset.get("tile_size", 0)))
-    sizes = _parse_int_list(pick("sizes", args.sizes, "6,10"))
-    instances = int(
-        pick("instances_per_size", args.instances, preset.get("instances_per_size", 10))
+    sources = (file_cfg, HARDWARE_PRESET if args.hardware_emulation else {})
+    bbs, schedule = _run_settings(args, sources)
+    picked = _pick(
+        {
+            "problem": args.problem,
+            "sizes": args.sizes,
+            "instances_per_size": args.instances,
+            "seed": args.seed,
+            "algorithms": _split_algs(args.algs),
+            "out": args.out,
+            "jobs": args.jobs,
+        },
+        sources,
     )
-    seed = int(pick("seed", args.seed if args.seed is not None else None, _default_seed()))
+    generator = _pick(
+        {
+            "maneuvers": args.maneuvers,
+            "conflict_rate": args.conflict_rate,
+            "capacity_ratio": args.capacity_ratio,
+            "traces": args.traces or None,
+        },
+        sources,
+    )
+    if "traces" in generator:
+        generator["keep_traces"] = generator.pop("traces")
+    fields = _typed(ExperimentSuite, generator)
     if ablation:
-        algorithms = (
-            AlgoSpec("bbs"),
-            AlgoSpec("bbs", ablation="no_theta"),
-            AlgoSpec("bbs", ablation="no_all"),
-        )
-    else:
-        names = pick("algorithms", _split_algs(args.algs), ["bbs", "sa", "hc"])
-        algorithms = tuple(AlgoSpec(name) for name in names)
-    min_size = min(sizes)
-    bbs = BbsConfig(
-        updates=updates,
-        samples=samples,
-        lr_theta=float(pick("lr_theta", args.lr_theta, 0.01)),
-        lr_alpha=float(pick("lr_alpha", args.lr_alpha, 0.05)),
-        shift=float(pick("shift", args.shift, math.pi / 2)),
-        loop_lengths=tuple(loops) if loops else None,
-        tile_size=_clamped_tile_size(tile_size, min_size),
-        sampler_backend=str(pick("sampler_backend", args.backend, "auto")),
-    )
+        modes = ("full", "no_theta", "no_all")
+        fields["algorithms"] = tuple(AlgoSpec("bbs", ablation=mode) for mode in modes)
+    elif "algorithms" in picked:
+        fields["algorithms"] = tuple(AlgoSpec(name) for name in picked["algorithms"])
+    sizes = _parse_int_list(picked.get("sizes", "6,10"))
+    _warn_untiled(bbs.tile_size, sizes)
     suite = ExperimentSuite(
-        problem=str(pick("problem", args.problem, "knapsack")),
+        problem=str(picked.get("problem", "knapsack")),
         sizes=sizes,
-        instances_per_size=instances,
-        algorithms=algorithms,
+        instances_per_size=int(picked.get("instances_per_size", 10)),
         bbs=bbs,
-        schedule=AnnealSchedule(
-            t_max=float(pick("t_max", args.t_max, 25_000.0)),
-            t_min=float(pick("t_min", args.t_min, 2.5)),
-        ),
-        seed_base=seed,
-        maneuvers=int(pick("maneuvers", args.maneuvers, 2)),
-        conflict_rate=float(pick("conflict_rate", args.conflict_rate, 0.3)),
-        capacity_ratio=float(pick("capacity_ratio", args.capacity_ratio, 0.5)),
-        keep_traces=bool(pick("traces", args.traces or None, False)),
+        schedule=schedule,
+        seed_base=int(picked.get("seed", _default_seed())),
+        **fields,
     )
-    extras = {
-        "out": pick("out", args.out, "bench_out"),
-        "jobs": int(pick("jobs", args.jobs, 1)),
-    }
+    extras = {"out": picked.get("out", "bench_out"), "jobs": int(picked.get("jobs", 1))}
     return suite, extras
 
 
@@ -263,12 +256,9 @@ def cmd_bench(args, ablation: bool = False) -> int:
     if args.dry_run:
         for size in suite.sizes:
             plan = make_plan(size, suite.bbs)
-            dims = [
-                fock_dim(l.modes, int(input_pattern(l.modes).sum())) for l in plan.layouts
-            ]
             print(
                 f"size {size}: budget_bound={suite_budget(suite, size)} "
-                f"tiles={[s for _, s in plan.blocks]} fock_dims={dims}"
+                f"tiles={[s for _, s in plan.blocks]} fock_dims={_fock_dims(plan)}"
             )
         return 0
     result = run_suite(suite, jobs=extras["jobs"])
@@ -297,25 +287,18 @@ def cmd_trace(args) -> int:
         reader = _csv.reader(fh)
         header = next(reader)
         rows = list(reader)
-    p_cols = [i for i, h in enumerate(header) if h.startswith("p_")]
-    t_cols = [i for i, h in enumerate(header) if h.startswith("theta_")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "loss.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["step", "loss", "best_cost"])
-        for row in rows:
-            writer.writerow(row[:3])
-    with open(out / "bitflip_probs.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["step"] + [header[i] for i in p_cols])
-        for row in rows:
-            writer.writerow([row[0]] + [row[i] for i in p_cols])
-    with open(out / "angles.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["step"] + [header[i] for i in t_cols])
-        for row in rows:
-            writer.writerow([row[0]] + [row[i] for i in t_cols])
+    columns = {
+        "loss.csv": [1, 2],  # loss, best_cost
+        "bitflip_probs.csv": [i for i, h in enumerate(header) if h.startswith("p_")],
+        "angles.csv": [i for i, h in enumerate(header) if h.startswith("theta_")],
+    }
+    for name, cols in columns.items():
+        with open(out / name, "w", newline="") as fh:
+            writer = _csv.writer(fh)
+            writer.writerow(["step"] + [header[i] for i in cols])
+            writer.writerows([row[0]] + [row[i] for i in cols] for row in rows)
     print(out)
     return 0
 
@@ -325,7 +308,7 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_bbs_flags(parser, seeded=True):
+def _add_bbs_flags(parser):
     parser.add_argument("--updates", "-N", type=int, default=None)
     parser.add_argument("--samples", "-S", type=int, default=None)
     parser.add_argument("--lr-theta", type=float, default=None)
@@ -336,8 +319,7 @@ def _add_bbs_flags(parser, seeded=True):
     parser.add_argument("--backend", choices=["auto", "statevector", "sequential"], default=None)
     parser.add_argument("--t-max", type=float, default=None)
     parser.add_argument("--t-min", type=float, default=None)
-    if seeded:
-        parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("count", type=int)
     p_gen.add_argument("--seed", type=int, default=_default_seed())
     p_gen.add_argument("--out", default="instances")
-    p_gen.add_argument("--capacity-ratio", type=float, default=0.5)
-    p_gen.add_argument("--maneuvers", type=int, default=2)
-    p_gen.add_argument("--conflict-rate", type=float, default=0.3)
+    p_gen.add_argument("--capacity-ratio", type=float, default=ExperimentSuite.capacity_ratio)
+    p_gen.add_argument("--maneuvers", type=int, default=ExperimentSuite.maneuvers)
+    p_gen.add_argument("--conflict-rate", type=float, default=ExperimentSuite.conflict_rate)
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run one solver on one instance")
@@ -366,13 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None, help="write the training trace CSV here")
     p_solve.add_argument("--out", default=None, help="write the result JSON here")
     p_solve.add_argument("--dry-run", action="store_true")
-    _add_bbs_flags(p_solve, seeded=False)
-    p_solve.add_argument("--seed", type=int, default=_default_seed())
-    p_solve.set_defaults(func=cmd_solve, updates=200, samples=50)
-    p_solve.set_defaults(
-        lr_theta=0.01, lr_alpha=0.05, shift=math.pi / 2, tile_size=0, backend="auto",
-        t_max=25_000.0, t_min=2.5,
-    )
+    _add_bbs_flags(p_solve)
+    p_solve.set_defaults(func=cmd_solve, seed=_default_seed())
 
     for name, ablation in (("bench", False), ("ablate", True)):
         p = sub.add_parser(

@@ -184,8 +184,8 @@ def make_tiles(m: int, tile_size: int, loop_lengths) -> TilePlan:
 def budget_bound(
     m: int,
     loop_lengths=None,
-    updates: int = 200,
-    samples: int = 50,
+    updates: int = BbsConfig.updates,
+    samples: int = BbsConfig.samples,
     tile_plan: Optional[TilePlan] = None,
 ) -> int:
     """Upper bound on cost-function calls: N * S * (2T + 2m + 1).
@@ -342,7 +342,7 @@ class _TileRuntime:
     unitary, of the current thetas, row 0 holding the unshifted circuit."""
 
     def __init__(
-        self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = math.pi / 2
+        self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = BbsConfig.shift
     ):
         self.layout = layout
         self.m = layout.modes
@@ -421,12 +421,7 @@ class _RunState:
         params: BbsParams,
         ledger: EvalLedger,
         rng: np.random.Generator,
-        samples: int,
-        shift: float,
-        gradient_scale: float = 1.0,
-        crn: bool = False,
-        backend: str = "auto",
-        max_dim: int = DEFAULT_MAX_DIM,
+        config: BbsConfig,
     ):
         if plan.size != ledger.handle.size:
             raise ValueError("plan size does not match problem size")
@@ -436,11 +431,11 @@ class _RunState:
         self.params = params
         self.ledger = ledger
         self.rng = rng
-        self.samples = samples
-        self.shift = shift
-        self.scale = gradient_scale
-        self.crn = crn
-        self.tiles = [_TileRuntime(l, backend, max_dim, shift) for l in plan.layouts]
+        self.config = config
+        self.tiles = [
+            _TileRuntime(l, config.sampler_backend, config.max_dim, config.shift)
+            for l in plan.layouts
+        ]
         self.slices = plan.theta_slices()
         # map global coupler index -> (tile index, local index)
         self.coupler_map = [
@@ -469,7 +464,7 @@ class _RunState:
         :func:`_bitflip_passes`) on ``raw``, by default the first circuit's
         samples. Returns (one mean per pass, in that order; raw).
         """
-        count, m, rng, probs = self.samples, self.plan.size, self.rng, self.params.probs
+        count, m, rng, probs = self.config.samples, self.plan.size, self.rng, self.params.probs
         shifts = [[None] * len(circuits) for _ in self.tiles]
         for k, circuit in enumerate(circuits):
             if circuit is not None:
@@ -492,7 +487,7 @@ class _RunState:
             if raw is None:
                 raw = sampled[0]
         if len(bits):
-            passes.append(_bitflip_passes(raw, probs, bits, rng, self.crn))
+            passes.append(_bitflip_passes(raw, probs, bits, rng, self.config.crn))
         candidates, _ = self._flip(*(np.concatenate(part) for part in zip(*passes)))
         return _pass_means(self.ledger, candidates), raw
 
@@ -504,9 +499,8 @@ class _RunState:
         circuits = [None] + [(c, up) for c in range(count) for up in (True, False)]
         means, _ = self._passes(circuits, np.arange(self.plan.size))
         pairs = np.reshape(means[1:], (-1, 2))
-        theta_grads = [
-            shift_rule_value(up, down, self.shift, self.scale) for up, down in pairs[:count]
-        ]
+        shift, scale = self.config.shift, self.config.gradient_scale
+        theta_grads = [shift_rule_value(up, down, shift, scale) for up, down in pairs[:count]]
         alpha_grads = [
             bitflip_grad_value(alpha, up, down)
             for alpha, (up, down) in zip(self.params.alphas, pairs[count:])
@@ -520,7 +514,7 @@ class _RunState:
 
     def theta_gradient(self, index: int) -> float:
         means, _ = self._passes([(index, True), (index, False)])
-        return shift_rule_value(*means, self.shift, self.scale)
+        return shift_rule_value(*means, self.config.shift, self.config.gradient_scale)
 
     def alpha_gradient(self, index: int, raw: np.ndarray) -> float:
         if raw.shape[0] == 0:
@@ -628,18 +622,7 @@ def run_bbs(
         rng = np.random.default_rng(config.seed)
     params = init_params(plan, rng)
     ledger = EvalLedger(problem, budget)
-    state = _RunState(
-        plan,
-        params,
-        ledger,
-        rng,
-        samples=config.samples,
-        shift=config.shift,
-        gradient_scale=config.gradient_scale,
-        crn=config.crn,
-        backend=config.sampler_backend,
-        max_dim=config.max_dim,
-    )
+    state = _RunState(plan, params, ledger, rng, config)
     trace = TrainingTrace()
     for step in range(1, config.updates + 1):
         if step > 1:  # _RunState set up the tiles for the first update
@@ -667,16 +650,17 @@ def run_bbs(
 # ---------------------------------------------------------------------------
 
 
-def _transient_state(plan, params, problem_or_ledger, samples, rng, **kw):
+def _transient_state(
+    plan, params, problem_or_ledger, samples, rng, backend=BbsConfig.sampler_backend, **kw
+):
+    """A run state on ``plan`` and ``params``; ``kw`` sets other BbsConfig fields."""
     ledger = (
         problem_or_ledger
         if isinstance(problem_or_ledger, EvalLedger)
         else EvalLedger(problem_or_ledger)
     )
-    return (
-        _RunState(plan, params, ledger, rng, samples=samples, shift=kw.pop("shift", math.pi / 2), **kw),
-        ledger,
-    )
+    config = BbsConfig(samples=samples, sampler_backend=backend, **kw)
+    return _RunState(plan, params, ledger, rng, config), ledger
 
 
 def estimate_mean_cost(plan, params, problem, samples, rng, ledger=None, **kw):
@@ -688,14 +672,15 @@ def estimate_mean_cost(plan, params, problem, samples, rng, ledger=None, **kw):
     return state.forward_pass()
 
 
-def grad_theta(plan, params, index, problem, samples, phi, rng, ledger=None, scale=1.0, **kw):
+def grad_theta(plan, params, index, problem, samples, phi, rng, ledger=None,
+               scale=BbsConfig.gradient_scale, **kw):
     state, _ = _transient_state(
         plan, params, ledger or problem, samples, rng, shift=phi, gradient_scale=scale, **kw
     )
     return state.theta_gradient(index)
 
 
-def grad_alpha(raw_samples, params, index, problem, ledger=None, rng=None, crn=False):
+def grad_alpha(raw_samples, params, index, problem, ledger=None, rng=None, crn=BbsConfig.crn):
     """Bit-flip gradient from this step's stored raw samples."""
     raw = np.asarray(raw_samples, dtype=np.uint8)
     if raw.ndim != 2 or raw.shape[0] == 0:

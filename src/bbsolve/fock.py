@@ -38,7 +38,7 @@ def fock_dim(m: int, n: int) -> int:
     return comb(m + n - 1, n)
 
 
-@maybe_njit(cache=True)
+@maybe_njit
 def _fill_patterns(out, m, n):
     c = np.zeros(m, dtype=np.int64)
     c[0] = n

@@ -150,7 +150,6 @@ def sample_threshold(
     rng: np.random.Generator,
     count: int,
     input_pattern=None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
     """Draw ``count`` threshold bit strings (shape (count, m)).
 

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from bbsolve import cli
+from bbsolve.baselines import AnnealSchedule
+from bbsolve.bench import ExperimentSuite, generate_instance
 from bbsolve.cli import main
-from bbsolve.problems import load_instance
+from bbsolve.engine import BbsConfig
+from bbsolve.problems import load_instance, save_instance
 
 
 def run_cli(args):
@@ -281,3 +287,90 @@ class TestTraceCommand:
 
     def test_missing_trace(self, tmp_path):
         assert run_cli(["trace", str(tmp_path / "nope.csv")]) == 2
+
+
+class TestMixedSizeTiling:
+    def test_tile_size_kept_for_sizes_it_fits(self, capsys):
+        # a size below the tile size runs untiled without untiling the others
+        with pytest.warns(UserWarning, match="problem size 6; running untiled"):
+            code = run_cli(
+                ["bench", "--sizes", "6,10", "--tile-size", "8", "--dry-run", "--loops", "1"]
+            )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "size 6: budget_bound=230000 tiles=[6] " in out
+        assert "size 10: budget_bound=370000 tiles=[8, 2] " in out
+
+
+class _Captured(Exception):
+    pass
+
+
+def _spy(monkeypatch, name, seen):
+    """Replace ``cli.<name>`` by a stub that records its arguments and stops the command."""
+
+    def stub(*args, **kwargs):
+        seen.update(args=args, kwargs=kwargs)
+        raise _Captured
+
+    monkeypatch.setattr(cli, name, stub)
+
+
+class TestSettingsDeclaredOnce:
+    """With no flags, every run setting is the default its dataclass declares."""
+
+    @pytest.fixture
+    def instance_path(self, tmp_path):
+        run_cli(["gen", "knapsack", "8", "1", "--out", str(tmp_path)])
+        return str(tmp_path / "knapsack_8_0.json")
+
+    def test_solve_hands_run_bbs_the_default_config(self, instance_path, monkeypatch):
+        monkeypatch.setenv("BBS_SEED", "17")
+        seen = {}
+        _spy(monkeypatch, "run_bbs", seen)
+        with pytest.raises(_Captured):
+            run_cli(["solve", instance_path])
+        assert seen["args"][1] == replace(BbsConfig(), seed=17)
+
+    @pytest.mark.parametrize(
+        "ablate, zeroed", [("no_theta", ("lr_theta",)), ("no_all", ("lr_theta", "lr_alpha"))]
+    )
+    def test_solve_ablation_zeroes_learning_rates(
+        self, instance_path, monkeypatch, ablate, zeroed
+    ):
+        seen = {}
+        _spy(monkeypatch, "run_bbs", seen)
+        with pytest.raises(_Captured):
+            run_cli(["solve", instance_path, "--ablate", ablate, "--seed", "4"])
+        expected = replace(BbsConfig(), seed=4, **{name: 0.0 for name in zeroed})
+        assert seen["args"][1] == expected
+
+    def test_solve_sa_gets_the_default_schedule(self, instance_path, monkeypatch):
+        seen = {}
+        _spy(monkeypatch, "simulated_anneal", seen)
+        with pytest.raises(_Captured):
+            run_cli(["solve", instance_path, "--alg", "sa"])
+        assert seen["kwargs"]["schedule"] == AnnealSchedule()
+
+    def test_bench_builds_the_default_suite(self, monkeypatch):
+        monkeypatch.delenv("BBS_SEED", raising=False)
+        seen = {}
+        _spy(monkeypatch, "run_suite", seen)
+        with pytest.raises(_Captured):
+            run_cli(["bench"])
+        suite = seen["args"][0]
+        assert suite.bbs == BbsConfig()
+        assert suite.schedule == AnnealSchedule()
+        assert suite == ExperimentSuite(
+            problem="knapsack", sizes=(6, 10), instances_per_size=10
+        )
+
+    @pytest.mark.parametrize("kind, size", [("knapsack", 9), ("deconfliction", 10), ("tsp", 10)])
+    def test_gen_writes_the_suite_generator_instances(self, tmp_path, kind, size):
+        assert run_cli(["gen", kind, str(size), "3", "--seed", "6", "--out", str(tmp_path)]) == 0
+        suite = ExperimentSuite(problem=kind, sizes=(size,), seed_base=6)
+        for index in range(3):
+            expected = tmp_path / f"expected_{index}.json"
+            save_instance(generate_instance(suite, size, index), expected)
+            written = tmp_path / f"{kind}_{size}_{index}.json"
+            assert written.read_bytes() == expected.read_bytes()

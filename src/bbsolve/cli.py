@@ -34,19 +34,43 @@ from .fock import fock_dim
 from .interferometer import input_pattern
 from .problems import load_instance, make_handle, save_instance
 
-_BENCH_CONFIG_KEYS = {
-    "problem", "sizes", "instances_per_size", "algorithms", "seed",
-    "updates", "samples", "lr_theta", "lr_alpha", "shift", "loops",
-    "tile_size", "sampler_backend", "maneuvers", "conflict_rate",
-    "capacity_ratio", "t_max", "t_min", "out", "jobs", "traces",
+# Each config-file key, mapped to the argparse attribute of the flag that
+# overrides it. The file check and the resolvers read these same maps, so a
+# new setting is declared once.
+_RUN_KEYS = {  # BbsConfig and AnnealSchedule fields; solve and bench
+    "updates": "updates",
+    "samples": "samples",
+    "lr_theta": "lr_theta",
+    "lr_alpha": "lr_alpha",
+    "shift": "shift",
+    "loops": "loops",
+    "tile_size": "tile_size",
+    "sampler_backend": "backend",
+    "t_max": "t_max",
+    "t_min": "t_min",
 }
+_GENERATOR_KEYS = {  # ExperimentSuite's instance-generator fields
+    "maneuvers": "maneuvers",
+    "conflict_rate": "conflict_rate",
+    "capacity_ratio": "capacity_ratio",
+}
+_SUITE_KEYS = {
+    "problem": "problem",
+    "sizes": "sizes",
+    "instances_per_size": "instances",
+    "seed": "seed",
+    "algorithms": "algs",
+    "out": "out",
+    "jobs": "jobs",
+    "traces": "traces",
+}
+_BENCH_CONFIG_KEYS = {*_RUN_KEYS, *_GENERATOR_KEYS, *_SUITE_KEYS}
 
 HARDWARE_PRESET = {
     "loops": [1],
     "tile_size": 8,
     "updates": 50,
     "samples": 20,
-    "instances_per_size": 10,
 }
 
 
@@ -69,13 +93,15 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _pick(flags: dict, sources=()) -> dict:
-    """The settings that are set. Each key of ``flags`` takes its flag's
-    value, else the value of the first of ``sources`` (the config file, then
-    the preset) that holds the key. A key set nowhere is left out, so the
-    dataclass it feeds keeps its own default."""
+def _pick(args, keys: dict, sources=()) -> dict:
+    """The settings that are set. Each key of ``keys`` takes the value of
+    its flag (the ``args`` attribute it maps to), else the value of the
+    first of ``sources`` (the config file, then the preset) that holds the
+    key. A key set nowhere is left out, so the dataclass it feeds keeps its
+    own default."""
     picked = {}
-    for key, flag in flags.items():
+    for key, attr in keys.items():
+        flag = getattr(args, attr)
         value = flag if flag is not None else next((s[key] for s in sources if key in s), None)
         if value is not None:
             picked[key] = value
@@ -90,21 +116,7 @@ def _typed(cls, picked: dict) -> dict:
 
 def _run_settings(args, sources=()) -> tuple[BbsConfig, AnnealSchedule]:
     """The trainer and annealer settings of a solve or bench run."""
-    picked = _pick(
-        {
-            "updates": args.updates,
-            "samples": args.samples,
-            "lr_theta": args.lr_theta,
-            "lr_alpha": args.lr_alpha,
-            "shift": args.shift,
-            "loops": _parse_int_list(args.loops) if args.loops else None,
-            "tile_size": args.tile_size,
-            "sampler_backend": args.backend,
-            "t_max": args.t_max,
-            "t_min": args.t_min,
-        },
-        sources,
-    )
+    picked = _pick(args, _RUN_KEYS, sources)
     loops = picked.pop("loops", None)
     temperatures = {key: picked.pop(key) for key in ("t_max", "t_min") if key in picked}
     bbs = BbsConfig(**_typed(BbsConfig, picked))
@@ -201,30 +213,8 @@ def _suite_from_args(args, ablation: bool) -> tuple[ExperimentSuite, dict]:
     file_cfg = _load_config_file(args.config) if args.config else {}
     sources = (file_cfg, HARDWARE_PRESET if args.hardware_emulation else {})
     bbs, schedule = _run_settings(args, sources)
-    picked = _pick(
-        {
-            "problem": args.problem,
-            "sizes": args.sizes,
-            "instances_per_size": args.instances,
-            "seed": args.seed,
-            "algorithms": _split_algs(args.algs),
-            "out": args.out,
-            "jobs": args.jobs,
-        },
-        sources,
-    )
-    generator = _pick(
-        {
-            "maneuvers": args.maneuvers,
-            "conflict_rate": args.conflict_rate,
-            "capacity_ratio": args.capacity_ratio,
-            "traces": args.traces or None,
-        },
-        sources,
-    )
-    if "traces" in generator:
-        generator["keep_traces"] = generator.pop("traces")
-    fields = _typed(ExperimentSuite, generator)
+    picked = _pick(args, _SUITE_KEYS, sources)
+    fields = _typed(ExperimentSuite, _pick(args, _GENERATOR_KEYS, sources))
     if ablation:
         modes = ("full", "no_theta", "no_all")
         fields["algorithms"] = tuple(AlgoSpec("bbs", ablation=mode) for mode in modes)
@@ -239,15 +229,14 @@ def _suite_from_args(args, ablation: bool) -> tuple[ExperimentSuite, dict]:
         bbs=bbs,
         schedule=schedule,
         seed_base=int(picked.get("seed", _default_seed())),
+        keep_traces=bool(picked.get("traces", ExperimentSuite.keep_traces)),
         **fields,
     )
     extras = {"out": picked.get("out", "bench_out"), "jobs": int(picked.get("jobs", 1))}
     return suite, extras
 
 
-def _split_algs(text):
-    if text is None:
-        return None
+def _split_algs(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
@@ -314,7 +303,8 @@ def _add_bbs_flags(parser):
     parser.add_argument("--lr-theta", type=float, default=None)
     parser.add_argument("--lr-alpha", type=float, default=None)
     parser.add_argument("--shift", type=float, default=None)
-    parser.add_argument("--loops", type=str, default=None, help="comma list, e.g. 1,3,9")
+    parser.add_argument("--loops", type=_parse_int_list, default=None,
+                        help="comma list, e.g. 1,3,9")
     parser.add_argument("--tile-size", type=int, default=None)
     parser.add_argument("--backend", choices=["auto", "statevector", "sequential"], default=None)
     parser.add_argument("--t-max", type=float, default=None)
@@ -362,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", type=str, default=None)
         p.add_argument("--instances", type=int, default=None)
         if not ablation:
-            p.add_argument("--algs", type=str, default=None, help="comma list: bbs,sa,hc")
+            p.add_argument("--algs", type=_split_algs, default=None, help="comma list: bbs,sa,hc")
         else:
             p.set_defaults(algs=None)
         p.add_argument("--out", default=None)
         p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--traces", action="store_true")
+        p.add_argument("--traces", action="store_true", default=None)
         p.add_argument("--hardware-emulation", action="store_true")
         p.add_argument("--maneuvers", type=int, default=None)
         p.add_argument("--conflict-rate", type=float, default=None)

@@ -162,6 +162,21 @@ class TestDeconfliction:
             handle.batch(bits), [handle.eval(row) for row in bits]
         )
 
+    @pytest.mark.parametrize("n_air", [10, 11])
+    def test_handle_matches_reference_formula(self, n_air):
+        # eval and batch share the handle's conflict matrix; deconfliction_cost
+        # rebuilds it from the instance, so it checks both independently.
+        # Every string of a 4x3 instance, then random strings at m = 20 and
+        # m = 22, where the baselines read eval instead of the cost table.
+        small = gen_deconfliction(4, 3, 0.4, np.random.default_rng(41))
+        big = gen_deconfliction(n_air, 2, 0.3, np.random.default_rng(42))
+        random_bits = np.random.default_rng(43).integers(0, 2, size=(200, 2 * n_air))
+        for inst, bits in ((small, np.array(all_bits(12))), (big, random_bits.astype(np.uint8))):
+            handle = deconfliction_handle(inst)
+            reference = [deconfliction_cost(inst, row) for row in bits]
+            np.testing.assert_array_equal(handle.batch(bits), reference)
+            np.testing.assert_array_equal([handle.eval(row) for row in bits], reference)
+
 
 class TestTspDecode:
     def test_bit_lengths(self):

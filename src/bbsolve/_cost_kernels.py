@@ -2,8 +2,10 @@
 
 The ``*_batch`` functions cost a (rows, m) bit matrix at once with numpy and
 back every handle's ``eval_batch``, and through it the handle's cost table
-(``CostFunctionHandle.cost_table``), which brute force and the SA/HC search
-loops read. Each returns exactly what the handle's scalar ``eval`` returns.
+(``CostFunctionHandle.cost_table``), which brute force, the SA/HC search
+loops and a training ledger whose budget covers every string read. Each
+returns exactly what the handle's scalar ``eval`` returns, for any row
+whatever else is in its batch.
 """
 
 from math import factorial
@@ -12,8 +14,7 @@ import numpy as np
 
 
 def knapsack_batch(values, weights, capacity, bits_mat):
-    v = bits_mat.astype(np.int64) @ values
-    w = bits_mat.astype(np.int64) @ weights
+    v, w = (bits_mat.astype(np.int64) @ np.stack((values, weights), axis=1)).T
     total = int(values.sum())
     return np.where(w <= capacity, v, v - total - 1).astype(np.float64)
 

@@ -313,20 +313,6 @@ def combined_percent_optimal(records) -> dict:
     return combined
 
 
-def overlap_analysis(records_a, records_b) -> float:
-    """Combined percent optimal of two result sets over identical instances."""
-    ids_a = {r.instance_id: r for r in records_a}
-    ids_b = {r.instance_id: r for r in records_b}
-    if set(ids_a) != set(ids_b):
-        raise ValueError("result sets cover different instances")
-    if not ids_a:
-        raise ValueError("empty result sets")
-    solved = [
-        ids_a[i].optimal_found or ids_b[i].optimal_found for i in sorted(ids_a)
-    ]
-    return 100.0 * float(np.mean(solved))
-
-
 def one_sided_paired_pvalue(better, worse) -> float:
     """P-value for mean(better) < mean(worse), paired by instance."""
     better = np.asarray(better, dtype=float)

@@ -78,8 +78,13 @@ def _default_seed() -> int:
     return int(os.environ.get("BBS_SEED", "0"))
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(",") if v != "")
+def _parse_int_list(value) -> tuple[int, ...]:
+    """A comma string such as ``"1,3,9"``, or a config file's list of ints."""
+    if not isinstance(value, (list, tuple)):
+        return tuple(int(v) for v in str(value).split(",") if v != "")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def _load_config_file(path) -> dict:
@@ -121,7 +126,7 @@ def _run_settings(args, sources=()) -> tuple[BbsConfig, AnnealSchedule]:
     temperatures = {key: picked.pop(key) for key in ("t_max", "t_min") if key in picked}
     bbs = BbsConfig(**_typed(BbsConfig, picked))
     if loops:
-        bbs = replace(bbs, loop_lengths=tuple(loops))
+        bbs = replace(bbs, loop_lengths=_parse_int_list(loops))
     return bbs, AnnealSchedule(**_typed(AnnealSchedule, temperatures))
 
 
@@ -241,7 +246,11 @@ def _split_algs(text: str) -> list[str]:
 
 
 def cmd_bench(args, ablation: bool = False) -> int:
-    suite, extras = _suite_from_args(args, ablation)
+    try:
+        suite, extras = _suite_from_args(args, ablation)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.dry_run:
         for size in suite.sizes:
             plan = make_plan(size, suite.bbs)

@@ -208,6 +208,13 @@ class EvalLedger:
     Every candidate evaluation request counts against the budget, repeats
     included, so budget comparisons to the baselines stay conservative.
     ``seen`` holds the key of every distinct candidate evaluated.
+
+    When the budget covers every string (``budget >= 2**m``), costs are read
+    from the handle's ``cost_table``: tabulating all 2^m strings once costs
+    no more rows than such a run's candidates would, and repeats then cost
+    a lookup. A shorter run at large m would pay mostly for rows it never
+    reads. Otherwise, or above ``problems.TABLE_LIMIT``, every batch goes
+    to ``handle.batch``. Both give the same costs.
     """
 
     def __init__(self, handle: CostFunctionHandle, budget: Optional[int] = None):
@@ -220,6 +227,10 @@ class EvalLedger:
         self.best_bits: Optional[tuple[int, ...]] = None
         # a candidate's key is its bit string packed into bytes
         self._key_dtype = np.dtype((np.void, (handle.size + 7) // 8))
+        covers_all = budget is not None and budget >= 1 << handle.size
+        self._table = handle.cost_table if covers_all else None
+        if self._table is not None:  # bit 1 is the most significant bit of an index
+            self._place = 1 << np.arange(handle.size - 1, -1, -1, dtype=np.int64)
 
     @property
     def unique_count(self) -> int:
@@ -233,7 +244,10 @@ class EvalLedger:
         """Evaluate candidates, returning costs in minimization sense."""
         bits_mat = np.asarray(bits_mat, dtype=np.uint8)
         keys = np.packbits(bits_mat, axis=1).view(self._key_dtype).ravel().tolist()
-        costs = np.asarray(self.handle.batch(bits_mat), dtype=float)
+        if self._table is None:
+            costs = np.asarray(self.handle.batch(bits_mat), dtype=float)
+        else:
+            costs = np.asarray(self._table[bits_mat @ self._place], dtype=float)
         if not np.isfinite(costs).all():
             raise ValueError("cost function returned a non-finite value")
         self.call_count += len(keys)

@@ -191,11 +191,3 @@ def output_distribution(state: FockStateVector) -> dict[tuple[int, ...], float]:
     for idx in np.nonzero(probs)[0]:
         out[tuple(int(v) for v in basis.patterns[idx])] = float(probs[idx])
     return out
-
-
-def distribution_to_json(dist: dict[tuple[int, ...], float]) -> list[dict]:
-    """Debug-export shape: [{"pattern": [...], "probability": p}, ...]."""
-    return [
-        {"pattern": list(pattern), "probability": prob}
-        for pattern, prob in sorted(dist.items())
-    ]

@@ -3,9 +3,9 @@
 Every instance exposes a :class:`CostFunctionHandle` with a pure
 ``eval(bits) -> float`` plus a vectorized ``eval_batch``. Up to
 :data:`TABLE_LIMIT` bits a handle also tabulates its costs over all 2^m
-strings, once, on first use (``cost_table``); brute force and the SA/HC
-search loops read that one table. Instances serialize to JSON and
-round-trip losslessly.
+strings, once, on first use (``cost_table``); brute force, the SA/HC
+search loops and a training ledger whose budget covers all 2^m strings read
+that one table. Instances serialize to JSON and round-trip losslessly.
 """
 
 import json

@@ -24,20 +24,7 @@ across circuits as well as across samples).
 
 import numpy as np
 
-from .fock import DEFAULT_MAX_DIM, FockStateVector, fock_dim, validate_pattern
-
-
-def threshold_pattern(occupation) -> np.ndarray:
-    """Collapse photon counts to click bits (count > 0 -> 1)."""
-    return (np.asarray(occupation) > 0).astype(np.uint8)
-
-
-def sample_occupations_statevector(
-    state: FockStateVector, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw ``count`` occupation patterns from the exact distribution."""
-    draws = draw_from_cdf(np.cumsum(state.probabilities()), rng, count)
-    return state.basis.patterns[draws].astype(np.int64)
+from .fock import DEFAULT_MAX_DIM, fock_dim, validate_pattern
 
 
 def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -143,27 +130,6 @@ def sample_occupations_sequential(u: np.ndarray, input_pattern, draws, count: in
         rows = _place_photons(np.ascontiguousarray(a), step_u[part])
         np.add.at(occ, (np.arange(lo, lo + len(rows))[:, None], rows), 1)
     return occ
-
-
-def sample_threshold(
-    source,
-    rng: np.random.Generator,
-    count: int,
-    input_pattern=None,
-) -> np.ndarray:
-    """Draw ``count`` threshold bit strings (shape (count, m)).
-
-    ``source`` is either an evolved :class:`FockStateVector` (statevector
-    backend) or a mode unitary paired with ``input_pattern`` (sequential
-    backend).
-    """
-    if isinstance(source, FockStateVector):
-        occ = sample_occupations_statevector(source, rng, count)
-    else:
-        if input_pattern is None:
-            raise ValueError("sequential backend needs the input pattern")
-        occ = sample_occupations_sequential(np.asarray(source), input_pattern, rng, count)
-    return (occ > 0).astype(np.uint8)
 
 
 def resolve_backend(backend: str, m: int, n: int, max_dim: int = DEFAULT_MAX_DIM) -> str:

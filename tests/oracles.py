@@ -1,8 +1,10 @@
-"""Independent brute-force oracles used to pin expected values in tests.
+"""Independent brute-force oracles used to pin expected values in tests,
+and the sampling and report helpers only tests call.
 
 Everything here is deliberately naive (factorial/exponential enumeration)
 and shares no code with the production paths it checks, bar the Fock basis
-that ``exact_distribution`` enumerates outcomes from, and the circuit
+that ``exact_distribution`` enumerates outcomes from, the CDF draw and
+sequential sampler that ``sample_threshold`` draws through, and the circuit
 state, samplers, ledger and SGD step that ``per_pass_run`` reuses to check
 only how the training update orders and groups them.
 """
@@ -14,7 +16,7 @@ from math import comb, factorial
 import numpy as np
 
 from bbsolve import engine
-from bbsolve.fock import get_basis
+from bbsolve.fock import FockStateVector, get_basis
 from bbsolve.sampling import draw_from_cdf, sample_occupations_sequential
 
 
@@ -131,6 +133,71 @@ def beamsplitter_blocks(theta: float, n: int) -> np.ndarray:
                     acc += -term if q & 1 else term
                 out[t, kp, k] = acc * sqfact[kp] * sqfact[lp] / (sqfact[k] * sqfact[l])
     return out
+
+
+# ---------------------------------------------------------------------------
+# direct sampling, distribution export and result overlap
+# ---------------------------------------------------------------------------
+#
+# Training samples through its tiles (``engine._TileRuntime``). These draw
+# from an evolved state or a mode unitary directly, through the same CDF
+# inversion and sequential sampler, for tests of the samplers themselves.
+
+
+def threshold_pattern(occupation) -> np.ndarray:
+    """Collapse photon counts to click bits (count > 0 -> 1)."""
+    return (np.asarray(occupation) > 0).astype(np.uint8)
+
+
+def sample_occupations_statevector(
+    state: FockStateVector, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Draw ``count`` occupation patterns from the exact distribution."""
+    draws = draw_from_cdf(np.cumsum(state.probabilities()), rng, count)
+    return state.basis.patterns[draws].astype(np.int64)
+
+
+def sample_threshold(
+    source,
+    rng: np.random.Generator,
+    count: int,
+    input_pattern=None,
+) -> np.ndarray:
+    """Draw ``count`` threshold bit strings (shape (count, m)).
+
+    ``source`` is either an evolved :class:`FockStateVector` (statevector
+    backend) or a mode unitary paired with ``input_pattern`` (sequential
+    backend).
+    """
+    if isinstance(source, FockStateVector):
+        occ = sample_occupations_statevector(source, rng, count)
+    else:
+        if input_pattern is None:
+            raise ValueError("sequential backend needs the input pattern")
+        occ = sample_occupations_sequential(np.asarray(source), input_pattern, rng, count)
+    return (occ > 0).astype(np.uint8)
+
+
+def distribution_to_json(dist: dict[tuple[int, ...], float]) -> list[dict]:
+    """Export shape: [{"pattern": [...], "probability": p}, ...]."""
+    return [
+        {"pattern": list(pattern), "probability": prob}
+        for pattern, prob in sorted(dist.items())
+    ]
+
+
+def overlap_analysis(records_a, records_b) -> float:
+    """Combined percent optimal of two result sets over identical instances."""
+    ids_a = {r.instance_id: r for r in records_a}
+    ids_b = {r.instance_id: r for r in records_b}
+    if set(ids_a) != set(ids_b):
+        raise ValueError("result sets cover different instances")
+    if not ids_a:
+        raise ValueError("empty result sets")
+    solved = [
+        ids_a[i].optimal_found or ids_b[i].optimal_found for i in sorted(ids_a)
+    ]
+    return 100.0 * float(np.mean(solved))
 
 
 # ---------------------------------------------------------------------------

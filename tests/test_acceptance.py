@@ -31,12 +31,12 @@ from bbsolve.engine import (
 from bbsolve.fock import evolve, output_distribution
 from bbsolve.interferometer import build_layout, input_pattern
 from bbsolve.problems import decode_permutation, tsp_bit_length
-from bbsolve.sampling import sample_threshold
 
 from oracles import (
     candidate_expectation,
     candidate_expectation_dalpha,
     empirical_distribution,
+    sample_threshold,
     threshold_distribution,
     tv_distance,
 )

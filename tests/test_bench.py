@@ -12,7 +12,6 @@ from bbsolve.bench import (
     emit_report,
     format_summary_table,
     one_sided_paired_pvalue,
-    overlap_analysis,
     relative_error,
     run_suite,
     suite_budget,
@@ -20,6 +19,8 @@ from bbsolve.bench import (
     tsp_points_for_size,
 )
 from bbsolve.engine import BbsConfig
+
+from oracles import overlap_analysis
 
 
 def small_suite(**overrides):

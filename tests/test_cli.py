@@ -220,6 +220,29 @@ class TestBench:
         assert summary["meta"]["instances_per_size"] == 2  # flag overrides file
         assert summary["meta"]["seed_base"] == 9
 
+    @pytest.mark.parametrize(
+        "sizes, loops", [([6, 10], [1, 3]), ("6,10", "1,3")], ids=["lists", "comma-strings"]
+    )
+    def test_config_file_int_lists(self, tmp_path, capsys, sizes, loops):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"sizes": sizes, "loops": loops, "updates": 4, "samples": 3}))
+        assert run_cli(["bench", "--config", str(cfg), "--dry-run"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == ["size 6", "size 10"]
+        # loops of length 1 and 3 on 6 modes hold 5 + 3 couplers
+        assert f"budget_bound={4 * 3 * (2 * 8 + 2 * 6 + 1)}" in out[0]
+
+    @pytest.mark.parametrize(
+        "key, value", [("sizes", [6.5]), ("sizes", [True]), ("sizes", ["6"]), ("loops", [1.9])]
+    )
+    def test_config_file_rejects_non_int_lists(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(["bench", "--config", str(cfg), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected a list of integers")
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({"problemm": "knapsack"}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bbsolve import engine
+from bbsolve import engine, problems
 from bbsolve.engine import (
     BbsConfig,
     BbsParams,
@@ -28,6 +28,8 @@ from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from bbsolve.problems import (
     CostFunctionHandle,
     brute_force,
+    deconfliction_handle,
+    gen_deconfliction,
     gen_knapsack,
     gen_tsp,
     knapsack_handle,
@@ -219,6 +221,52 @@ class TestEvalLedger:
         ledger.evaluate_batch(bits[::-1])
         assert ledger.call_count == 2 * (m + 1)
         assert ledger.unique_count == m + 1
+
+
+class TestLedgerCostTable:
+    """A ledger whose budget covers all 2^m strings reads the handle's cost
+    table; a run must equal the same run costed batch by batch."""
+
+    HANDLES = {
+        "knapsack": lambda: knapsack_handle(gen_knapsack(8, np.random.default_rng(60))),
+        "deconfliction": lambda: deconfliction_handle(
+            gen_deconfliction(4, 2, 0.4, np.random.default_rng(61))
+        ),
+        # tour lengths are inexact floats: a row must cost the same in any batch
+        "tsp": lambda: tsp_handle(gen_tsp(6, np.random.default_rng(62))),
+    }
+
+    @staticmethod
+    def tabled(handle):
+        return handle.__dict__.get("cost_table") is not None
+
+    @pytest.mark.parametrize("crn", [False, True])
+    @pytest.mark.parametrize("tile_size", [0, 4])
+    @pytest.mark.parametrize("kind", sorted(HANDLES))
+    def test_run_equals_the_batch_path(self, monkeypatch, kind, tile_size, crn):
+        config = BbsConfig(
+            updates=3, samples=5, seed=63, loop_lengths=(1, 2), tile_size=tile_size, crn=crn
+        )
+        handle = self.HANDLES[kind]()
+        result = run_bbs(handle, config)
+        assert result.budget >= 1 << handle.size and self.tabled(handle)
+        monkeypatch.setattr(problems, "TABLE_LIMIT", 0)
+        batched = self.HANDLES[kind]()
+        want = run_bbs(batched, config)
+        assert not self.tabled(batched)
+        assert result.trace.losses == want.trace.losses
+        assert result.trace.best_costs == want.trace.best_costs
+        assert (result.best_bits, result.best_cost) == (want.best_bits, want.best_cost)
+        assert (result.calls, result.unique_evals) == (want.calls, want.unique_evals)
+
+    @pytest.mark.parametrize("budget", [None, (1 << 8) - 1])
+    def test_no_table_below_a_covering_budget(self, budget):
+        handle = self.HANDLES["knapsack"]()
+        ledger = EvalLedger(handle, budget)
+        ledger.evaluate_batch(np.eye(8, dtype=np.uint8))
+        assert "cost_table" not in handle.__dict__
+        EvalLedger(handle, 1 << 8).evaluate_batch(np.eye(8, dtype=np.uint8))
+        assert self.tabled(handle)
 
 
 class TestEstimateMeanCost:
@@ -796,16 +844,18 @@ class TestOnePassUpdate:
     def test_tied_optima_keep_the_first_in_call_order(self, monkeypatch):
         # every string with at most one set bit is optimal
         rows = []
+        evaluate = EvalLedger.evaluate_batch
 
-        def cost(mat):
-            rows.append(mat.copy())
-            return (mat.sum(axis=1) > 1).astype(float)
+        def spy(ledger, mat):
+            rows.append(np.array(mat))
+            return evaluate(ledger, mat)
 
         handle = CostFunctionHandle(
             size=6, sense="minimize", eval=lambda bits: float(bits.sum() > 1), kind="tied",
-            eval_batch=cost,
+            eval_batch=lambda mat: (mat.sum(axis=1) > 1).astype(float),
         )
         config = BbsConfig(updates=3, samples=5, seed=50, loop_lengths=(1, 3))
+        monkeypatch.setattr(EvalLedger, "evaluate_batch", spy)
         result = run_bbs(handle, config)
         called = np.concatenate(rows)
         optima = called[called.sum(axis=1) <= 1]

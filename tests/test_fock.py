@@ -7,7 +7,6 @@ import pytest
 from bbsolve._evolve_kernels import block_coefficients, make_blocks
 from bbsolve.fock import (
     FockDimensionError,
-    distribution_to_json,
     evolve,
     fock_dim,
     get_basis,
@@ -16,6 +15,7 @@ from bbsolve.fock import (
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from oracles import (
     beamsplitter_blocks,
+    distribution_to_json,
     exact_distribution,
     pattern_probability,
     perm_definition,

@@ -6,15 +6,17 @@ from bbsolve.engine import _TileRuntime
 from bbsolve.fock import DEFAULT_MAX_DIM, FockStateVector
 from bbsolve.fock import evolve, output_distribution
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
-from bbsolve.sampling import (
-    resolve_backend,
-    sample_occupations_sequential,
+from bbsolve.sampling import resolve_backend, sample_occupations_sequential
+
+from oracles import (
+    empirical_distribution,
+    permanent,
     sample_occupations_statevector,
     sample_threshold,
+    threshold_distribution,
     threshold_pattern,
+    tv_distance,
 )
-
-from oracles import empirical_distribution, permanent, threshold_distribution, tv_distance
 
 
 def test_threshold_pattern():

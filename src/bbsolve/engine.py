@@ -16,6 +16,9 @@ placed, for all its circuits in one pass, and every candidate of the update
 costed in one ledger batch. Placing and costing draw nothing, and the
 ledger keeps the first strict optimum in call order, so the result is the
 one a loop of separate passes, each costed on its own, would give.
+
+An update is computed only as a whole, by ``_RunState.update``; there is no
+single-step API for one forward pass or one gradient.
 """
 
 import csv
@@ -190,16 +193,14 @@ def budget_bound(
 ) -> int:
     """Upper bound on cost-function calls: N * S * (2T + 2m + 1).
 
-    T counts beamsplitters; with tiling it sums over the per-tile layouts,
-    untiled it is sum(m - l_i) and matches the closed formula verbatim.
+    T counts beamsplitters, summed over the layouts of ``tile_plan``. Without
+    a plan the bound uses the untiled plan, whose T is the sum of m - l over
+    the loops l < m.
     """
-    if tile_plan is not None:
-        total = sum(tile_plan.theta_counts)
-        m = tile_plan.size
-    else:
+    if tile_plan is None:
         loops = loop_lengths if loop_lengths is not None else default_loop_lengths(m)
-        total = sum(m - l for l in loops)
-    return updates * samples * (2 * total + 2 * m + 1)
+        tile_plan = make_tiles(m, 0, loops)
+    return updates * samples * (2 * tile_plan.total_thetas + 2 * tile_plan.size + 1)
 
 
 class EvalLedger:
@@ -293,21 +294,22 @@ def _flip_bits(raw, probs, rng, uniforms=None):
     return raw ^ (uniforms < probs).astype(np.uint8), uniforms
 
 
-def _bitflip_passes(raw, probs, bits, rng, crn):
+def _bitflip_passes(raw, probs, rng, crn):
     """Rows, uniforms and flip probabilities of two bit-flip passes per bit
-    ``i`` in ``bits``, each on all of ``raw``: bit i flipped with probability
-    1, then with probability 0, every other bit with its ``probs``. Uniforms
-    lie in [0, 1), so the forced bit never depends on them. Both passes of a
-    bit share their uniforms under ``crn``; otherwise each pass draws its
-    own. All come from one draw, in pass order.
+    i, each on all of ``raw``: bit i flipped with probability 1, then with
+    probability 0, every other bit with its ``probs``. Uniforms lie in
+    [0, 1), so the forced bit never depends on them. Both passes of a bit
+    share their uniforms under ``crn``; otherwise each pass draws its own.
+    All come from one draw, in pass order.
     """
-    k, (count, m) = len(bits), raw.shape
-    uniforms = rng.random((k, 1 if crn else 2, count, m))
-    uniforms = np.broadcast_to(uniforms, (k, 2, count, m)).reshape(2 * k, count, m)
-    forced = np.tile(probs, (k, 2, 1))
-    forced[np.arange(k), 0, bits] = 1.0
-    forced[np.arange(k), 1, bits] = 0.0
-    return np.broadcast_to(raw, (2 * k, count, m)), uniforms, forced.reshape(2 * k, 1, m)
+    count, m = raw.shape
+    uniforms = rng.random((m, 1 if crn else 2, count, m))
+    uniforms = np.broadcast_to(uniforms, (m, 2, count, m)).reshape(2 * m, count, m)
+    forced = np.tile(probs, (m, 2, 1))
+    bits = np.arange(m)
+    forced[bits, 0, bits] = 1.0
+    forced[bits, 1, bits] = 0.0
+    return np.broadcast_to(raw, (2 * m, count, m)), uniforms, forced.reshape(2 * m, 1, m)
 
 
 def _pass_means(ledger, candidates) -> list:
@@ -355,9 +357,7 @@ class _TileRuntime:
     """Per-tile circuit state: every shift-rule CDF, or every shift-rule
     unitary, of the current thetas, row 0 holding the unshifted circuit."""
 
-    def __init__(
-        self, layout: CircuitLayout, backend: str, max_dim: int, shift: float = BbsConfig.shift
-    ):
+    def __init__(self, layout: CircuitLayout, backend: str, max_dim: int, shift: float):
         self.layout = layout
         self.m = layout.modes
         self.input = input_pattern(self.m)
@@ -451,12 +451,16 @@ class _RunState:
             for l in plan.layouts
         ]
         self.slices = plan.theta_slices()
-        # map global coupler index -> (tile index, local index)
-        self.coupler_map = [
-            (t, c)
-            for t, layout in enumerate(plan.layouts)
-            for c in range(layout.coupler_count)
+        # an update's circuit 0 is unshifted, and circuit _shift_row(c, up)
+        # has coupler c at theta_c + shift (up) or theta_c - shift; shifts[t]
+        # names each circuit's shift in tile t, by the tile's local index
+        couplers = [
+            (t, c) for t, layout in enumerate(plan.layouts) for c in range(layout.coupler_count)
         ]
+        self.shifts = [[None] * (2 * len(couplers) + 1) for _ in self.tiles]
+        for c, (t, local_c) in enumerate(couplers):
+            for up in (True, False):
+                self.shifts[t][_shift_row(c, up)] = (local_c, up)
         self.refresh()
 
     def refresh(self):
@@ -464,77 +468,41 @@ class _RunState:
         for tile, sl in zip(self.tiles, self.slices):
             tile.set_thetas(self.params.thetas[sl])
 
-    def _flip(self, raw: np.ndarray, uniforms=None, probs=None):
-        probs = self.params.probs if probs is None else probs
+    def _flip(self, raw: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
         return _flip_bits(raw, probs, self.rng, uniforms)
-
-    def _passes(self, circuits, bits=(), raw=None):
-        """Mean cost of every pass, from one draw, one placement per tile,
-        one flip and one ledger batch.
-
-        ``circuits`` lists sampled passes: None for the unshifted circuit,
-        ``(c, up)`` for coupler c at theta_c + shift (``up``) or theta_c -
-        shift. Each bit in ``bits`` then adds its two bit-flip passes (see
-        :func:`_bitflip_passes`) on ``raw``, by default the first circuit's
-        samples. Returns (one mean per pass, in that order; raw).
-        """
-        count, m, rng, probs = self.config.samples, self.plan.size, self.rng, self.params.probs
-        shifts = [[None] * len(circuits) for _ in self.tiles]
-        for k, circuit in enumerate(circuits):
-            if circuit is not None:
-                t, local_c = self.coupler_map[circuit[0]]
-                shifts[t][k] = (local_c, circuit[1])
-        draws = [[] for _ in self.tiles]
-        uniforms = []
-        for k in range(len(circuits)):
-            for t, tile in enumerate(self.tiles):
-                draws[t].append(tile.draw(shifts[t][k], rng, count))
-            uniforms.append(rng.random((count, m)))
-        passes = []
-        if circuits:
-            sampled = np.concatenate(
-                [tile.place(shifts[t], draws[t], count) for t, tile in enumerate(self.tiles)],
-                axis=-1,
-            )
-            circuit_probs = np.broadcast_to(probs, (len(circuits), 1, m))
-            passes.append((sampled, np.stack(uniforms), circuit_probs))
-            if raw is None:
-                raw = sampled[0]
-        if len(bits):
-            passes.append(_bitflip_passes(raw, probs, bits, rng, self.config.crn))
-        candidates, _ = self._flip(*(np.concatenate(part) for part in zip(*passes)))
-        return _pass_means(self.ledger, candidates), raw
 
     def update(self):
         """One update: the forward pass, both shift-rule passes of every
         coupler, and both bit-flip passes of every bit on the forward
-        samples. Returns (loss, theta gradients, alpha gradients)."""
-        count = self.plan.total_thetas
-        circuits = [None] + [(c, up) for c in range(count) for up in (True, False)]
-        means, _ = self._passes(circuits, np.arange(self.plan.size))
+        samples, from one draw, one placement per tile, one flip and one
+        ledger batch. Returns (loss, theta gradients, alpha gradients)."""
+        count, m, rng, probs = self.config.samples, self.plan.size, self.rng, self.params.probs
+        couplers = self.plan.total_thetas
+        circuits = 2 * couplers + 1
+        draws = [[] for _ in self.tiles]
+        uniforms = []
+        for k in range(circuits):
+            for t, tile in enumerate(self.tiles):
+                draws[t].append(tile.draw(self.shifts[t][k], rng, count))
+            uniforms.append(rng.random((count, m)))
+        sampled = np.concatenate(
+            [tile.place(self.shifts[t], draws[t], count) for t, tile in enumerate(self.tiles)],
+            axis=-1,
+        )
+        passes = [
+            (sampled, np.stack(uniforms), np.broadcast_to(probs, (circuits, 1, m))),
+            _bitflip_passes(sampled[0], probs, rng, self.config.crn),
+        ]
+        candidates, _ = self._flip(*(np.concatenate(part) for part in zip(*passes)))
+        means = _pass_means(self.ledger, candidates)
         pairs = np.reshape(means[1:], (-1, 2))
         shift, scale = self.config.shift, self.config.gradient_scale
-        theta_grads = [shift_rule_value(up, down, shift, scale) for up, down in pairs[:count]]
+        theta_grads = [shift_rule_value(up, down, shift, scale) for up, down in pairs[:couplers]]
         alpha_grads = [
             bitflip_grad_value(alpha, up, down)
-            for alpha, (up, down) in zip(self.params.alphas, pairs[count:])
+            for alpha, (up, down) in zip(self.params.alphas, pairs[couplers:])
         ]
         return means[0], np.array(theta_grads), np.array(alpha_grads)
-
-    def forward_pass(self):
-        """Sample, flip, evaluate; returns (mean internal cost, raw samples)."""
-        means, raw = self._passes([None])
-        return means[0], raw
-
-    def theta_gradient(self, index: int) -> float:
-        means, _ = self._passes([(index, True), (index, False)])
-        return shift_rule_value(*means, self.config.shift, self.config.gradient_scale)
-
-    def alpha_gradient(self, index: int, raw: np.ndarray) -> float:
-        if raw.shape[0] == 0:
-            raise ValueError("no stored samples for the bit-flip gradient")
-        means, _ = self._passes([], [index], raw)
-        return bitflip_grad_value(self.params.alphas[index], *means)
 
 
 def sgd_update(
@@ -657,51 +625,3 @@ def run_bbs(
         budget=budget,
         seed=config.seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# standalone single-step operations (same machinery as the run loop)
-# ---------------------------------------------------------------------------
-
-
-def _transient_state(
-    plan, params, problem_or_ledger, samples, rng, backend=BbsConfig.sampler_backend, **kw
-):
-    """A run state on ``plan`` and ``params``; ``kw`` sets other BbsConfig fields."""
-    ledger = (
-        problem_or_ledger
-        if isinstance(problem_or_ledger, EvalLedger)
-        else EvalLedger(problem_or_ledger)
-    )
-    config = BbsConfig(samples=samples, sampler_backend=backend, **kw)
-    return _RunState(plan, params, ledger, rng, config), ledger
-
-
-def estimate_mean_cost(plan, params, problem, samples, rng, ledger=None, **kw):
-    """Forward pass: S raw samples (stored pre-flip), flipped, costed.
-
-    Returns (mean cost in minimization sense, raw threshold samples).
-    """
-    state, _ = _transient_state(plan, params, ledger or problem, samples, rng, **kw)
-    return state.forward_pass()
-
-
-def grad_theta(plan, params, index, problem, samples, phi, rng, ledger=None,
-               scale=BbsConfig.gradient_scale, **kw):
-    state, _ = _transient_state(
-        plan, params, ledger or problem, samples, rng, shift=phi, gradient_scale=scale, **kw
-    )
-    return state.theta_gradient(index)
-
-
-def grad_alpha(raw_samples, params, index, problem, ledger=None, rng=None, crn=BbsConfig.crn):
-    """Bit-flip gradient from this step's stored raw samples."""
-    raw = np.asarray(raw_samples, dtype=np.uint8)
-    if raw.ndim != 2 or raw.shape[0] == 0:
-        raise ValueError("need a non-empty (S, m) array of stored raw samples")
-    ledger = ledger if isinstance(ledger, EvalLedger) else EvalLedger(ledger or problem)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rows, uniforms, probs = _bitflip_passes(raw, sigmoid(params.alphas), [index], rng, crn)
-    candidates, _ = _flip_bits(rows, probs, rng, uniforms)
-    return bitflip_grad_value(params.alphas[index], *_pass_means(ledger, candidates))

@@ -1,5 +1,5 @@
 """Independent brute-force oracles used to pin expected values in tests,
-and the sampling and report helpers only tests call.
+and the sampling helpers only tests call.
 
 Everything here is deliberately naive (factorial/exponential enumeration)
 and shares no code with the production paths it checks, bar the Fock basis
@@ -136,17 +136,12 @@ def beamsplitter_blocks(theta: float, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# direct sampling, distribution export and result overlap
+# direct sampling
 # ---------------------------------------------------------------------------
 #
 # Training samples through its tiles (``engine._TileRuntime``). These draw
 # from an evolved state or a mode unitary directly, through the same CDF
 # inversion and sequential sampler, for tests of the samplers themselves.
-
-
-def threshold_pattern(occupation) -> np.ndarray:
-    """Collapse photon counts to click bits (count > 0 -> 1)."""
-    return (np.asarray(occupation) > 0).astype(np.uint8)
 
 
 def sample_occupations_statevector(
@@ -176,28 +171,6 @@ def sample_threshold(
             raise ValueError("sequential backend needs the input pattern")
         occ = sample_occupations_sequential(np.asarray(source), input_pattern, rng, count)
     return (occ > 0).astype(np.uint8)
-
-
-def distribution_to_json(dist: dict[tuple[int, ...], float]) -> list[dict]:
-    """Export shape: [{"pattern": [...], "probability": p}, ...]."""
-    return [
-        {"pattern": list(pattern), "probability": prob}
-        for pattern, prob in sorted(dist.items())
-    ]
-
-
-def overlap_analysis(records_a, records_b) -> float:
-    """Combined percent optimal of two result sets over identical instances."""
-    ids_a = {r.instance_id: r for r in records_a}
-    ids_b = {r.instance_id: r for r in records_b}
-    if set(ids_a) != set(ids_b):
-        raise ValueError("result sets cover different instances")
-    if not ids_a:
-        raise ValueError("empty result sets")
-    solved = [
-        ids_a[i].optimal_found or ids_b[i].optimal_found for i in sorted(ids_a)
-    ]
-    return 100.0 * float(np.mean(solved))
 
 
 # ---------------------------------------------------------------------------

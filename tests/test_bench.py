@@ -20,8 +20,6 @@ from bbsolve.bench import (
 )
 from bbsolve.engine import BbsConfig
 
-from oracles import overlap_analysis
-
 
 def small_suite(**overrides):
     kwargs = dict(
@@ -76,28 +74,26 @@ class TestRelativeError:
 
 
 class TestOverlap:
+    @staticmethod
+    def combined(a, b, key=("knapsack", 6)):
+        return combined_percent_optimal(a + b)[key]
+
     def test_union(self):
         a = [_rec("knapsack_6_0", "a", True), _rec("knapsack_6_1", "a", False)]
         b = [_rec("knapsack_6_0", "b", False), _rec("knapsack_6_1", "b", True)]
-        assert overlap_analysis(a, b) == 100.0
+        assert self.combined(a, b) == 100.0
 
     def test_subset(self):
         a = [_rec("knapsack_6_0", "a", False), _rec("knapsack_6_1", "a", True)]
         b = [_rec("knapsack_6_0", "b", True), _rec("knapsack_6_1", "b", True)]
-        assert overlap_analysis(a, b) == 100.0
-        assert overlap_analysis(a, a) == 50.0
-
-    def test_disjoint_instances_rejected(self):
-        a = [_rec("knapsack_6_0", "a", True)]
-        b = [_rec("knapsack_6_1", "b", True)]
-        with pytest.raises(ValueError):
-            overlap_analysis(a, b)
+        assert self.combined(a, b) == 100.0
+        assert self.combined(a, a) == 50.0
 
     def test_two_solvers_with_small_overlap(self):
         # 2% and 27% individually, disjoint hits -> combined 29%
         a = [_rec(f"tsp_29_{i}", "a", i < 2, kind="tsp", size=29) for i in range(100)]
         b = [_rec(f"tsp_29_{i}", "b", 2 <= i < 29, kind="tsp", size=29) for i in range(100)]
-        assert overlap_analysis(a, b) == pytest.approx(29.0)
+        assert self.combined(a, b, ("tsp", 29)) == pytest.approx(29.0)
 
     def test_combined_at_least_max_individual(self):
         rng = np.random.default_rng(1)
@@ -106,7 +102,7 @@ class TestOverlap:
             hits_b = rng.random(30) < 0.4
             a = [_rec(f"knapsack_6_{i}", "a", bool(h)) for i, h in enumerate(hits_a)]
             b = [_rec(f"knapsack_6_{i}", "b", bool(h)) for i, h in enumerate(hits_b)]
-            combined = overlap_analysis(a, b)
+            combined = self.combined(a, b)
             assert combined >= 100.0 * max(hits_a.mean(), hits_b.mean())
 
 

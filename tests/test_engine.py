@@ -9,13 +9,10 @@ from bbsolve.engine import (
     BbsConfig,
     BbsParams,
     EvalLedger,
+    _RunState,
     _TileRuntime,
-    _transient_state,
     apply_bitflips,
     budget_bound,
-    estimate_mean_cost,
-    grad_alpha,
-    grad_theta,
     init_params,
     make_plan,
     make_tiles,
@@ -23,7 +20,7 @@ from bbsolve.engine import (
     sgd_update,
     sigmoid,
 )
-from bbsolve.fock import evolve, fock_dim, output_distribution
+from bbsolve.fock import DEFAULT_MAX_DIM, evolve, fock_dim, output_distribution
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from bbsolve.problems import (
     CostFunctionHandle,
@@ -55,6 +52,15 @@ def onesum_handle(m):
     )
 
 
+def one_update(plan, params, handle, seed, **config):
+    """Run one update of a fresh run state; ``config`` sets BbsConfig fields.
+    Returns (loss, theta gradients, alpha gradients) and the ledger."""
+    ledger = EvalLedger(handle)
+    rng = np.random.default_rng(seed)
+    state = _RunState(plan, params, ledger, rng, BbsConfig(**config))
+    return state.update(), ledger
+
+
 class TestBudgetBound:
     def test_reference_configuration(self):
         assert budget_bound(30, (1, 3, 9), updates=200, samples=50) == 2_150_000
@@ -71,6 +77,14 @@ class TestBudgetBound:
         assert budget_bound(16, updates=10, samples=5, tile_plan=plan) == 10 * 5 * (
             2 * 14 + 32 + 1
         )
+
+    def test_dropped_loops_match_the_run(self):
+        # a 5-mode run keeps loops 1 and 3 and drops 9
+        handle = knapsack_handle(gen_knapsack(5, np.random.default_rng(0)))
+        with pytest.warns(UserWarning, match="dropping loops"):
+            result = run_bbs(handle, BbsConfig(updates=2, samples=10, loop_lengths=(1, 3, 9)))
+            assert budget_bound(5, (1, 3, 9), updates=2, samples=10) == result.calls == 460
+            assert budget_bound(3, (1, 3, 9), updates=1, samples=1) == 2 * 2 + 6 + 1
 
 
 class TestMakeTiles:
@@ -273,30 +287,23 @@ class TestEstimateMeanCost:
     def test_constant_cost(self):
         plan = make_plan(4, BbsConfig(updates=1, samples=1))
         params = init_params(plan, np.random.default_rng(1))
-        mean, raw = estimate_mean_cost(
-            plan, params, constant_handle(4), 20, np.random.default_rng(2)
-        )
-        assert mean == 7.0
-        assert raw.shape == (20, 4)
+        (loss, _, _), _ = one_update(plan, params, constant_handle(4), 2, samples=20)
+        assert loss == 7.0
 
     def test_uniform_bit_sum(self):
         # p = 1/2 makes candidates uniform; E[sum] = m/2 = 2
         plan = make_plan(4, BbsConfig(updates=1, samples=1))
         params = init_params(plan, np.random.default_rng(1))
         s = 10_000
-        mean, _ = estimate_mean_cost(
-            plan, params, onesum_handle(4), s, np.random.default_rng(3)
-        )
+        (loss, _, _), _ = one_update(plan, params, onesum_handle(4), 3, samples=s)
         sigma = math.sqrt(4 * 0.25) / math.sqrt(s)
-        assert abs(mean - 2.0) < 4 * sigma
+        assert abs(loss - 2.0) < 4 * sigma
 
     def test_ledger_sees_all_calls(self):
         plan = make_plan(4, BbsConfig(updates=1, samples=1))
         params = init_params(plan, np.random.default_rng(1))
-        handle = onesum_handle(4)
-        ledger = EvalLedger(handle)
-        estimate_mean_cost(plan, params, handle, 15, np.random.default_rng(0), ledger)
-        assert ledger.call_count == 15
+        _, ledger = one_update(plan, params, onesum_handle(4), 0, samples=15)
+        assert ledger.call_count == budget_bound(4, updates=1, samples=15)
 
 
 class TestSgdUpdate:
@@ -318,14 +325,13 @@ class TestSgdUpdate:
             sgd_update(self._params(), np.array([np.inf]), np.zeros(1), 0.01, 0.05)
 
     def test_alpha_moves_probability_downhill(self):
-        # one-bit minimize-C(x)=x problem: the update must push p toward 0
-        params = BbsParams(thetas=np.empty(0), alphas=np.array([0.0]))
+        # minimize C(x) = x_1: the update must push p_1 toward 0
+        plan, params = photon_to_mode_two()
         handle = CostFunctionHandle(
-            size=1, sense="minimize", eval=lambda b: float(b[0]), kind="bit"
+            size=2, sense="minimize", eval=lambda b: float(b[0]), kind="bit"
         )
-        raw = np.zeros((8, 1), dtype=np.uint8)
-        g = grad_alpha(raw, params, 0, handle, rng=np.random.default_rng(0))
-        updated = sgd_update(params, np.empty(0), np.array([g]), 0.01, 0.05)
+        (_, theta_grads, alpha_grads), _ = one_update(plan, params, handle, 0, samples=8)
+        updated = sgd_update(params, theta_grads, alpha_grads, 0.01, 0.05)
         assert sigmoid(updated.alphas[0]) < 0.5
 
 
@@ -333,18 +339,10 @@ class TestGradTheta:
     def test_constant_cost_exact_zero(self):
         plan = make_plan(3, BbsConfig(updates=1, samples=1, loop_lengths=(1,)))
         params = init_params(plan, np.random.default_rng(5))
-        g = grad_theta(
-            plan, params, 0, constant_handle(3), 1000, math.pi / 2, np.random.default_rng(6)
+        (_, theta_grads, _), _ = one_update(
+            plan, params, constant_handle(3), 6, samples=1000, shift=math.pi / 2
         )
-        assert g == 0.0
-
-    def test_two_s_cost_calls(self):
-        plan = make_plan(3, BbsConfig(updates=1, samples=1, loop_lengths=(1,)))
-        params = init_params(plan, np.random.default_rng(5))
-        handle = onesum_handle(3)
-        ledger = EvalLedger(handle)
-        grad_theta(plan, params, 1, handle, 25, math.pi / 2, np.random.default_rng(6), ledger)
-        assert ledger.call_count == 50
+        assert (theta_grads == 0.0).all()
 
 
 def _exact_cdf(layout, thetas):
@@ -358,15 +356,29 @@ def _shifted(thetas, c, delta):
     return out
 
 
+def _tiles(plan, params, shift, backend):
+    """Each layout's tile, set to its slice of ``params.thetas``."""
+    tiles = []
+    for layout, sl in zip(plan.layouts, plan.theta_slices()):
+        tile = _TileRuntime(layout, backend, DEFAULT_MAX_DIM, shift)
+        tile.set_thetas(params.thetas[sl])
+        tiles.append(tile)
+    return tiles
+
+
+def photon_to_mode_two():
+    """A 2-mode plan whose coupler at pi/2 sends the photon to mode 2, so
+    every raw sample is (0, 1), and alphas 0."""
+    plan = make_tiles(2, 0, (1,))
+    return plan, BbsParams(thetas=np.array([math.pi / 2]), alphas=np.zeros(2))
+
+
 class TestShiftedCdfs:
     """Every batched shift-rule CDF equals the CDF of a separate evolution."""
 
     def check_tiles(self, plan, shift):
         params = init_params(plan, np.random.default_rng(3))
-        state, _ = _transient_state(
-            plan, params, constant_handle(plan.size), 1, np.random.default_rng(4), shift=shift
-        )
-        for tile, sl in zip(state.tiles, plan.theta_slices()):
+        for tile, sl in zip(_tiles(plan, params, shift, "statevector"), plan.theta_slices()):
             thetas = params.thetas[sl]
             exact = _exact_cdf(tile.layout, thetas)
             np.testing.assert_allclose(tile.cdfs[0], exact, rtol=0, atol=1e-12)
@@ -407,7 +419,7 @@ class TestShiftedCdfs:
         assert len(calls) == sum(2 + -(-(2 * c + 1) // rows) for c in range(count))
         assert max(shape[0] for shape in calls if len(shape) == 2) == rows
 
-    def test_grad_theta_draws_from_shifted_cdfs(self, monkeypatch):
+    def test_shift_rule_circuits_draw_from_shifted_cdfs(self, monkeypatch):
         phi = 0.3
         plan = make_plan(10, BbsConfig(updates=1, samples=1, loop_lengths=(1, 3), tile_size=5))
         params = init_params(plan, np.random.default_rng(8))
@@ -421,7 +433,7 @@ class TestShiftedCdfs:
         monkeypatch.setattr(_TileRuntime, "_draw_from_cdf", spy)
         local_c = 2
         index = plan.theta_counts[0] + local_c
-        grad_theta(plan, params, index, onesum_handle(10), 5, phi, np.random.default_rng(9))
+        one_update(plan, params, onesum_handle(10), 9, samples=5, shift=phi)
         slices = plan.theta_slices()
         expected = []
         for delta in (phi, -phi):
@@ -430,8 +442,13 @@ class TestShiftedCdfs:
                 if t == 1:
                     thetas = _shifted(thetas, local_c, delta)
                 expected.append((layout, _exact_cdf(layout, thetas)))
-        assert len(seen) == len(expected) == 4
-        for (layout, cdf), (want_layout, want) in zip(seen, expected):
+        # draws arrive circuit by circuit, tile by tile; coupler index's
+        # circuits are 2 * index + 1 (+phi) and 2 * index + 2 (-phi)
+        tiles = len(plan.layouts)
+        assert len(seen) == tiles * (2 * plan.total_thetas + 1)
+        shifted = seen[tiles * (2 * index + 1) : tiles * (2 * index + 3)]
+        assert len(shifted) == len(expected) == 4
+        for (layout, cdf), (want_layout, want) in zip(shifted, expected):
             assert layout is want_layout
             np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-12)
 
@@ -441,16 +458,7 @@ class TestShiftedUnitaries:
 
     def check_tiles(self, plan, shift):
         params = init_params(plan, np.random.default_rng(5))
-        state, _ = _transient_state(
-            plan,
-            params,
-            constant_handle(plan.size),
-            1,
-            np.random.default_rng(6),
-            shift=shift,
-            backend="sequential",
-        )
-        for tile, sl in zip(state.tiles, plan.theta_slices()):
+        for tile, sl in zip(_tiles(plan, params, shift, "sequential"), plan.theta_slices()):
             thetas = params.thetas[sl]
             count = tile.layout.coupler_count
             assert tile.unitaries.shape == (2 * count + 1, tile.m, tile.m)
@@ -473,71 +481,29 @@ class TestShiftedUnitaries:
 
 class TestGradAlpha:
     def test_single_bit_worked_example(self):
-        # raw sample 0, alpha 0: (E|p=1 - E|p=0) * sigma'(0) = (1 - 0) / 4
-        params = BbsParams(thetas=np.empty(0), alphas=np.array([0.0]))
+        # raw sample (0, 1), alpha 0: (E|p=1 - E|p=0) * sigma'(0) = (1 - 0) / 4
+        plan, params = photon_to_mode_two()
         handle = CostFunctionHandle(
-            size=1, sense="minimize", eval=lambda b: float(b[0]), kind="bit"
+            size=2, sense="minimize", eval=lambda b: float(b[0]), kind="bit"
         )
-        raw = np.zeros((1, 1), dtype=np.uint8)
-        g = grad_alpha(raw, params, 0, handle, rng=np.random.default_rng(0))
-        assert g == pytest.approx(0.25)
+        (_, _, alpha_grads), _ = one_update(plan, params, handle, 0, samples=1)
+        assert alpha_grads[0] == pytest.approx(0.25)
 
     def test_cost_independent_of_bit(self):
-        params = BbsParams(thetas=np.empty(0), alphas=np.zeros(2))
+        plan, params = photon_to_mode_two()
         handle = CostFunctionHandle(
-            size=2, sense="minimize", eval=lambda b: float(b[1]), kind="bit2"
+            size=2,
+            sense="minimize",
+            eval=lambda b: float(b[1]),
+            kind="bit2",
+            eval_batch=lambda mat: mat[:, 1].astype(float),
         )
-        raw = np.random.default_rng(1).integers(0, 2, (2000, 2)).astype(np.uint8)
-        g = grad_alpha(raw, params, 0, handle, rng=np.random.default_rng(2))
+        (_, _, alpha_grads), _ = one_update(plan, params, handle, 2, samples=2000)
         # zero in expectation; bound by 4 sigma of the Monte Carlo estimate
-        assert abs(g) < 4 * 0.25 / math.sqrt(2000)
-
-    def test_empty_store_rejected(self):
-        params = BbsParams(thetas=np.empty(0), alphas=np.zeros(1))
-        with pytest.raises(ValueError):
-            grad_alpha(
-                np.empty((0, 1), dtype=np.uint8),
-                params,
-                0,
-                constant_handle(1),
-                rng=np.random.default_rng(0),
-            )
-
-    def test_crn_flag_deterministic(self):
-        params = BbsParams(thetas=np.empty(0), alphas=np.zeros(3))
-        handle = onesum_handle(3)
-        raw = np.random.default_rng(3).integers(0, 2, (50, 3)).astype(np.uint8)
-        a = grad_alpha(raw, params, 1, handle, rng=np.random.default_rng(4), crn=True)
-        b = grad_alpha(raw, params, 1, handle, rng=np.random.default_rng(4), crn=True)
-        assert a == b
-
-
-class TestSharedFlip:
-    """The standalone helpers and the run loop flip bits the same way."""
-
-    def setup_state(self, seed, crn=False):
-        handle = knapsack_handle(gen_knapsack(6, np.random.default_rng(31)))
-        plan = make_tiles(6, 0, (1, 3))
-        params = init_params(plan, np.random.default_rng(32))
-        params.alphas[:] = np.random.default_rng(33).normal(size=6)
-        raw = np.random.default_rng(34).integers(0, 2, (40, 6)).astype(np.uint8)
-        state, _ = _transient_state(
-            plan, params, handle, 40, np.random.default_rng(seed), crn=crn
-        )
-        return handle, params, raw, state
-
-    @pytest.mark.parametrize("crn", [False, True])
-    def test_grad_alpha_matches_run_state(self, crn):
-        handle, params, raw, state = self.setup_state(35, crn)
-        got = grad_alpha(raw, params, 2, handle, rng=np.random.default_rng(35), crn=crn)
-        assert got == state.alpha_gradient(2, raw)
-
-    def test_apply_bitflips_matches_run_state_flip(self):
-        _, params, raw, state = self.setup_state(36)
-        flipped, _ = state._flip(raw)
-        np.testing.assert_array_equal(
-            apply_bitflips(raw, params.probs, np.random.default_rng(36)), flipped
-        )
+        assert abs(alpha_grads[0]) < 4 * 0.25 / math.sqrt(2000)
+        # under crn both passes of bit 1 flip bit 2 alike
+        (_, _, alpha_grads), _ = one_update(plan, params, handle, 2, samples=2000, crn=True)
+        assert alpha_grads[0] == 0.0
 
 
 class TestReachability:

@@ -1,4 +1,3 @@
-import json
 from math import comb
 
 import numpy as np
@@ -15,7 +14,6 @@ from bbsolve.fock import (
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
 from oracles import (
     beamsplitter_blocks,
-    distribution_to_json,
     exact_distribution,
     pattern_probability,
     perm_definition,
@@ -142,17 +140,6 @@ class TestOutputDistribution:
             thetas = rng.uniform(0, 2 * np.pi, layout.coupler_count)
             dist = output_distribution(evolve(input_pattern(m), layout, thetas))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-
-    def test_json_export_shape(self):
-        layout = build_layout(2, [1])
-        dist = output_distribution(evolve([1, 0], layout, [np.pi / 4]))
-        payload = distribution_to_json(dist)
-        as_text = json.dumps(payload)
-        parsed = json.loads(as_text)
-        assert parsed == [
-            {"pattern": [0, 1], "probability": pytest.approx(0.5)},
-            {"pattern": [1, 0], "probability": pytest.approx(0.5)},
-        ]
 
 
 class TestBeamsplitterBlocks:

@@ -6,8 +6,9 @@ import pytest
 from bbsolve.engine import (
     BbsConfig,
     BbsParams,
+    EvalLedger,
+    _RunState,
     bitflip_grad_value,
-    grad_theta,
     init_params,
     make_plan,
     shift_rule_value,
@@ -80,7 +81,10 @@ class TestShiftRule:
             kind="bit2",
             eval_batch=lambda mat: mat[:, 1].astype(float),
         )
-        g = grad_theta(plan, params, 0, handle, s, phi, np.random.default_rng(3))
+        config = BbsConfig(samples=s, shift=phi)
+        state = _RunState(plan, params, EvalLedger(handle), np.random.default_rng(3), config)
+        _, theta_grads, _ = state.update()
+        g = theta_grads[0]
         exact = shift_rule_value(
             exact_expectation(theta + phi), exact_expectation(theta - phi), phi
         )

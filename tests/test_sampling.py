@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,8 @@ from oracles import (
     sample_occupations_statevector,
     sample_threshold,
     threshold_distribution,
-    threshold_pattern,
     tv_distance,
 )
-
-
-def test_threshold_pattern():
-    np.testing.assert_array_equal(threshold_pattern([2, 0, 1]), [1, 0, 1])
-    np.testing.assert_array_equal(threshold_pattern([0, 0]), [0, 0])
 
 
 def test_photon_number_conserved():
@@ -54,7 +50,7 @@ def test_cdf_tail_draw_lands_on_last_positive_state():
     occ = sample_occupations_statevector(state, _TopUniform(), 4)
     np.testing.assert_array_equal(occ, np.tile(state.basis.patterns[1], (4, 1)))
 
-    tile = _TileRuntime(build_layout(3, [1]), "statevector", DEFAULT_MAX_DIM)
+    tile = _TileRuntime(build_layout(3, [1]), "statevector", DEFAULT_MAX_DIM, math.pi / 2)
     cdf = np.cumsum([0.5, 0.5 - 1e-12, 0.0, 0.0, 0.0, 0.0])
     bits = tile._draw_from_cdf(cdf, _TopUniform(), 4)
     np.testing.assert_array_equal(bits, np.tile(tile.basis.thresholded[1], (4, 1)))

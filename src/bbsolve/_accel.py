@@ -15,7 +15,7 @@ import os
 
 try:
     import numba as _numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional: pip install -e ".[numba]"
     _numba = None
 
 _flag = os.environ.get("BBS_NO_NUMBA", "0").strip().lower()

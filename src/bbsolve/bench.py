@@ -10,13 +10,11 @@ execution only changes scheduling, never output bytes.
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .baselines import AnnealSchedule, hill_climb, simulated_anneal
 from .engine import BbsConfig, budget_bound, make_plan, run_bbs
@@ -246,6 +244,8 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> SuiteResult:
     tasks = [(size, idx) for size in suite.sizes for idx in range(suite.instances_per_size)]
     outcome = {}
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported on use, as is scipy.stats
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 (size, idx): pool.submit(_run_instance, suite, size, idx)
@@ -321,7 +321,9 @@ def one_sided_paired_pvalue(better, worse) -> float:
         raise ValueError("need two equal-length sample vectors")
     if np.allclose(better, worse):
         return 1.0
-    result = _scipy_stats.ttest_rel(better, worse, alternative="less")
+    from scipy import stats  # imported on use: it would be most of bbsolve's import time
+
+    result = stats.ttest_rel(better, worse, alternative="less")
     p = float(result.pvalue)
     return 1.0 if np.isnan(p) else p
 

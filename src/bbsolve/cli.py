@@ -115,8 +115,15 @@ def _pick(args, keys: dict, sources=()) -> dict:
 
 def _typed(cls, picked: dict) -> dict:
     """``picked`` cast to the types of ``cls``'s defaults: a config file may
-    hold ``"3"`` or ``1`` where a count or a float is meant."""
-    return {key: type(getattr(cls, key))(value) for key, value in picked.items()}
+    hold ``"3"`` or ``1`` where a count or a float is meant. A bool, and a
+    number the cast would change (``2.5`` for a count), are refused."""
+    typed = {}
+    for key, value in picked.items():
+        kind = type(getattr(cls, key))
+        typed[key] = kind(value)
+        if isinstance(value, bool) or (isinstance(value, (int, float)) and typed[key] != value):
+            raise SystemExit(f"setting {key!r}: expected {kind.__name__}, got {value!r}")
+    return typed
 
 
 def _run_settings(args, sources=()) -> tuple[BbsConfig, AnnealSchedule]:

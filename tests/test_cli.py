@@ -243,6 +243,25 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("error: expected a list of integers")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("updates", 2.5), ("samples", True), ("tile_size", 8.5), ("lr_theta", False),
+         ("maneuvers", 2.2)],
+    )
+    def test_config_file_rejects_values_the_cast_would_change(self, tmp_path, key, value):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=f"setting '{key}'"):
+            run_cli(["bench", "--config", str(cfg), "--dry-run"])
+
+    def test_config_file_casts_exact_values(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"sizes": [6], "loops": [1], "updates": "4", "samples": 3.0,
+                                   "lr_theta": 1, "t_max": 100}))
+        assert run_cli(["bench", "--config", str(cfg), "--dry-run"]) == 0
+        # one loop of length 1 on 6 modes holds 5 couplers
+        assert f"budget_bound={4 * 3 * (2 * 5 + 2 * 6 + 1)}" in capsys.readouterr().out
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({"problemm": "knapsack"}))

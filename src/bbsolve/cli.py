@@ -116,13 +116,18 @@ def _pick(args, keys: dict, sources=()) -> dict:
 def _typed(cls, picked: dict) -> dict:
     """``picked`` cast to the types of ``cls``'s defaults: a config file may
     hold ``"3"`` or ``1`` where a count or a float is meant. A bool, and a
-    number the cast would change (``2.5`` for a count), are refused."""
+    number the cast would change (``2.5`` for a count), and a value it cannot
+    read (``"abc"`` or ``[1]`` for a count), are refused."""
     typed = {}
     for key, value in picked.items():
         kind = type(getattr(cls, key))
-        typed[key] = kind(value)
+        refused = SystemExit(f"setting {key!r}: expected {kind.__name__}, got {value!r}")
+        try:
+            typed[key] = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise refused from None
         if isinstance(value, bool) or (isinstance(value, (int, float)) and typed[key] != value):
-            raise SystemExit(f"setting {key!r}: expected {kind.__name__}, got {value!r}")
+            raise refused
     return typed
 
 

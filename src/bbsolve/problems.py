@@ -23,11 +23,13 @@ SENSE_MAX = "maximize"
 
 BRUTE_FORCE_LIMIT = 24
 # Largest m whose 2^m costs are kept as a table. Measured without numba on a
-# 2-core Xeon: at m = 20 the table is 8 MB and takes 0.4-1.7 s to build, and
-# the Python list an uncompiled search reads adds about 50 MB of peak memory;
-# at m = 22 that list adds about 200 MB and the table takes up to 8 s.
+# 2-core Xeon: at m = 20 the table is 8 MB and takes 0.06 s (knapsack) to
+# 0.9 s (deconfliction) to build, peaking at 8.9 and 9.1 MB of numpy memory
+# since the chunks are written into the table in place; the Python list an
+# uncompiled search reads adds about 50 MB of peak memory; at m = 22 that
+# list adds about 200 MB and the table takes up to 8 s.
 TABLE_LIMIT = 20
-_ENUM_CHUNK = 1 << 16
+_ENUM_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,9 @@ class CostFunctionHandle:
         as its most significant bit; ``None`` above :data:`TABLE_LIMIT`."""
         if self.size > TABLE_LIMIT:
             return None
-        table = np.concatenate([costs for _, costs in _cost_chunks(self)])
+        table = np.empty(1 << self.size)
+        for start, costs in _cost_chunks(self):
+            table[start : start + len(costs)] = costs
         table.flags.writeable = False
         return table
 

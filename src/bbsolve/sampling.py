@@ -38,9 +38,26 @@ def draw_from_cdf(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.n
     return np.minimum(draws, np.searchsorted(cdf, cdf[-1], side="left"))
 
 
-# samples placed together keep their subset tables to about this many
-# floats (4 MB); from 15 photons a sample's table alone is larger
+# samples placed together keep each workspace table to at most half this
+# many floats (2 MB), so one photon number's workspace stays within 6 MB;
+# from 16 photons one sample's tables alone are larger
 _TABLE_FLOATS = 1 << 19
+
+# per photon number n: subset column sums, subset signs and two flat product
+# buffers, sized for the largest chunk placed so far and reused by every
+# placement of n photons in this process, so two threads must not place
+# photons at once
+_WORKSPACES: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _workspace(count: int, n: int) -> tuple[np.ndarray, ...]:
+    ws = _WORKSPACES.get(n)
+    if ws is None or len(ws[0]) < count:
+        subsets = 1 << (n - 1)
+        ws = (np.empty((count, subsets, n)), np.empty(subsets),
+              np.empty(count * subsets * n), np.empty(count * subsets * n))
+        _WORKSPACES[n] = ws
+    return ws
 
 
 def _placement_minors(sums, signs, k):
@@ -51,14 +68,18 @@ def _placement_minors(sums, signs, k):
     holds the column sums of ``a`` over one subset S of ``rows``, and
     ``signs[S]`` is (-1)^(k - 1 - |S|). The row-subset Ryser formula then
     gives every minor at once from leave-one-out products over the first k
-    columns.
+    columns, built in the workspace; ``g`` is a new array.
     """
+    count, subsets, n = sums.shape
+    left, right = (
+        buf[: count * subsets * k].reshape(count, subsets, k) for buf in _workspace(count, n)[2:]
+    )
     head = sums[..., :k]
-    left = np.ones_like(head)
-    right = np.ones_like(head)
-    left[..., 1:] = np.cumprod(head[..., :-1], axis=-1)
-    right[..., :-1] = np.cumprod(head[..., :0:-1], axis=-1)[..., ::-1]
-    return signs @ (left * right)
+    left[..., 0] = 1.0
+    np.cumprod(head[..., :-1], axis=-1, out=left[..., 1:])
+    right[..., -1] = 1.0
+    np.cumprod(head[..., :0:-1], axis=-1, out=right[..., :-1][..., ::-1])
+    return signs @ np.multiply(left, right, out=left)
 
 
 def _place_photons(a, step_u):
@@ -70,21 +91,26 @@ def _place_photons(a, step_u):
     Perm(a[s][rows + [r], :k])^2, which expands along row r into the k
     minors of :func:`_placement_minors`; the draw takes the first row whose
     cumulative weight reaches u times the total, or row floor(u * m) when
-    every weight is zero. Placing a row doubles the subset table: every
-    subset, then every subset with the new row added (Clifford & Clifford,
-    arXiv:1706.01260).
+    every weight is zero. Placing a row doubles the subset table in place:
+    every subset, then every subset with the new row added (Clifford &
+    Clifford, arXiv:1706.01260).
     """
     count, m, n = a.shape
     rows = np.empty((count, n), dtype=np.int64)
     each = np.arange(count)
-    sums = np.zeros((count, 1, n))
-    signs = np.ones(1)
+    sums, signs = _workspace(count, n)[:2]
+    sums = sums[:count]
+    sums[:, 0] = 0.0
+    signs[0] = 1.0
     for k in range(1, n + 1):
         if k > 1:
+            half = 1 << (k - 2)
             placed = a[each, rows[:, k - 2]]
-            sums = np.concatenate((sums, sums + placed[:, None]), axis=1)
-            signs = np.concatenate((-signs, signs))
-        amps = a[..., :k] @ _placement_minors(sums, signs, k)[..., None]
+            np.add(sums[:, :half], placed[:, None], out=sums[:, half : 2 * half])
+            signs[half : 2 * half] = signs[:half]
+            np.negative(signs[:half], out=signs[:half])
+        subsets = 1 << (k - 1)
+        amps = a[..., :k] @ _placement_minors(sums[:, :subsets], signs[:subsets], k)[..., None]
         cum = np.cumsum(amps[..., 0] ** 2, axis=1)
         total = cum[:, -1]
         rows[:, k - 1] = np.argmax(cum >= (step_u[:, k - 1] * total)[:, None], axis=1)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,18 @@ class TestBench:
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit, match=f"setting '{key}'"):
+            run_cli(["bench", "--config", str(cfg), "--dry-run"])
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("updates", "abc", "int, got 'abc'"), ("updates", [1], "int, got [1]"),
+         ("lr_theta", "fast", "float, got 'fast'"), ("samples", float("inf"), "int, got inf")],
+        ids=["string", "list", "float-string", "infinity"],
+    )
+    def test_config_file_rejects_values_the_cast_cannot_read(self, tmp_path, key, value, shown):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=f"^setting '{key}': expected {re.escape(shown)}$"):
             run_cli(["bench", "--config", str(cfg), "--dry-run"])
 
     def test_config_file_casts_exact_values(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -320,6 +321,43 @@ class TestCostTable:
         handle = make()
         assert handle.cost_table is None
         assert brute_force(handle) == tabled
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: knapsack_handle(gen_knapsack(11, np.random.default_rng(41))),
+            lambda: deconfliction_handle(gen_deconfliction(4, 3, 0.4, np.random.default_rng(42))),
+            lambda: tsp_handle(gen_tsp(7, np.random.default_rng(43))),
+        ],
+        ids=["knapsack", "deconfliction", "tsp7"],
+    )
+    def test_table_is_the_same_in_any_chunking(self, make, monkeypatch):
+        whole = make().cost_table
+        # 2^m is no multiple of 3, so the last chunk is partial
+        monkeypatch.setattr(problems, "_ENUM_CHUNK", 3)
+        np.testing.assert_array_equal(make().cost_table, whole)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: knapsack_handle(gen_knapsack(17, np.random.default_rng(44))),
+            lambda: tsp_handle(gen_tsp(9, np.random.default_rng(45))),
+            lambda: knapsack_handle(gen_knapsack(20, np.random.default_rng(46))),
+        ],
+        ids=["knapsack17", "tsp9", "knapsack20"],
+    )
+    def test_table_build_holds_one_table(self, make):
+        # the costs stream into the table chunk by chunk: the build's peak
+        # is the table and one chunk's temporaries, never a second table
+        # (which the 8 MB table at m = 20 would show)
+        handle = make()
+        tracemalloc.start()
+        try:
+            table = handle.cost_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + (4 << 20)
 
     def test_tied_optimum_takes_smallest_string(self):
         res = brute_force(knapsack_handle(KnapsackInstance((5, 5, 3), (2, 2, 1), 3)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,39 @@ def test_joint_minors_are_permanents(monkeypatch):
                 placed = a[s][rows[s, : k - 1], :k]
                 exact = [permanent(np.delete(placed, j, axis=1)).real for j in range(k)]
                 np.testing.assert_allclose(g[s], exact, rtol=0, atol=1e-12)
+
+
+def _unitary(m, seed):
+    layout = build_layout(m, (1, 3, 9))
+    thetas = np.random.default_rng(seed).uniform(0, 2 * np.pi, layout.coupler_count)
+    return circuit_unitary(layout, thetas)
+
+
+def test_workspace_keeps_no_state_between_calls():
+    # 17 modes place 9 photons. Between two equal draws the workspace is
+    # used for 6 photons, grown past 77 rows (two chunks of 113 and 37 rows)
+    # and used again for fewer rows
+    u = _unitary(17, 1)
+    first = sample_occupations_sequential(u, input_pattern(17), np.random.default_rng(2), 77)
+    sample_occupations_sequential(_unitary(12, 3), input_pattern(12), np.random.default_rng(4), 40)
+    sample_occupations_sequential(_unitary(17, 5), input_pattern(17), np.random.default_rng(6), 150)
+    sample_occupations_sequential(_unitary(17, 7), input_pattern(17), np.random.default_rng(8), 5)
+    again = sample_occupations_sequential(u, input_pattern(17), np.random.default_rng(2), 77)
+    np.testing.assert_array_equal(again, first)
+
+
+def test_warm_placement_allocates_no_tables():
+    # 77 rows of 9 photons: each subset table is 1.4 MB, and a warm call
+    # reuses the workspace the first call sized
+    u = _unitary(17, 9)
+    sample_occupations_sequential(u, input_pattern(17), np.random.default_rng(10), 77)
+    tracemalloc.start()
+    try:
+        sample_occupations_sequential(u, input_pattern(17), np.random.default_rng(10), 77)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sequential_hom():

@@ -38,7 +38,6 @@ class AlgoSpec:
 
     base: str  # "bbs" | "sa" | "hc"
     ablation: str = "full"  # "full" | "no_theta" | "no_all"
-    name: Optional[str] = None
 
     def __post_init__(self):
         if self.base not in ("bbs", "sa", "hc"):
@@ -47,9 +46,10 @@ class AlgoSpec:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
         if self.base != "bbs" and self.ablation != "full":
             raise ValueError("ablation modes apply to the trained solver only")
-        if self.name is None:
-            label = self.base if self.ablation == "full" else f"bbs_{self.ablation}"
-            object.__setattr__(self, "name", label)
+
+    @property
+    def name(self) -> str:
+        return self.base if self.ablation == "full" else f"bbs_{self.ablation}"
 
 
 @dataclass(frozen=True)

@@ -34,36 +34,17 @@ from .fock import fock_dim
 from .interferometer import input_pattern
 from .problems import load_instance, make_handle, save_instance
 
-# Each config-file key, mapped to the argparse attribute of the flag that
-# overrides it. The file check and the resolvers read these same maps, so a
-# new setting is declared once.
-_RUN_KEYS = {  # BbsConfig and AnnealSchedule fields; solve and bench
-    "updates": "updates",
-    "samples": "samples",
-    "lr_theta": "lr_theta",
-    "lr_alpha": "lr_alpha",
-    "shift": "shift",
-    "loops": "loops",
-    "tile_size": "tile_size",
-    "sampler_backend": "backend",
-    "t_max": "t_max",
-    "t_min": "t_min",
-}
-_GENERATOR_KEYS = {  # ExperimentSuite's instance-generator fields
-    "maneuvers": "maneuvers",
-    "conflict_rate": "conflict_rate",
-    "capacity_ratio": "capacity_ratio",
-}
-_SUITE_KEYS = {
-    "problem": "problem",
-    "sizes": "sizes",
-    "instances_per_size": "instances",
-    "seed": "seed",
-    "algorithms": "algs",
-    "out": "out",
-    "jobs": "jobs",
-    "traces": "traces",
-}
+# Each config-file key is also the argparse attribute (``dest``) of the flag
+# that overrides it. The file check and the resolvers read these same
+# tuples, so a new setting is declared once.
+_RUN_KEYS = (  # BbsConfig and AnnealSchedule fields; solve and bench
+    "updates", "samples", "lr_theta", "lr_alpha", "shift", "loops", "tile_size",
+    "sampler_backend", "t_max", "t_min",
+)
+_GENERATOR_KEYS = ("maneuvers", "conflict_rate", "capacity_ratio")  # instance generators
+_SUITE_KEYS = (
+    "problem", "sizes", "instances_per_size", "seed", "algorithms", "out", "jobs", "traces",
+)
 _BENCH_CONFIG_KEYS = {*_RUN_KEYS, *_GENERATOR_KEYS, *_SUITE_KEYS}
 
 HARDWARE_PRESET = {
@@ -98,15 +79,15 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _pick(args, keys: dict, sources=()) -> dict:
-    """The settings that are set. Each key of ``keys`` takes the value of
-    its flag (the ``args`` attribute it maps to), else the value of the
-    first of ``sources`` (the config file, then the preset) that holds the
-    key. A key set nowhere is left out, so the dataclass it feeds keeps its
-    own default."""
+def _pick(args, keys, sources=()) -> dict:
+    """The settings that are set. Each of ``keys`` takes the value of its
+    flag (the ``args`` attribute of that name), else the value of the first
+    of ``sources`` (the config file, then the preset) that holds the key. A
+    key set nowhere is left out, so the dataclass it feeds keeps its own
+    default."""
     picked = {}
-    for key, attr in keys.items():
-        flag = getattr(args, attr)
+    for key in keys:
+        flag = getattr(args, key)
         value = flag if flag is not None else next((s[key] for s in sources if key in s), None)
         if value is not None:
             picked[key] = value
@@ -193,17 +174,23 @@ def cmd_solve(args) -> int:
         return 2
     handle = make_handle(instance)
     m = handle.size
-    base, schedule = _run_settings(args)
-    _warn_untiled(base.tile_size, [m])
-    cfg = _bbs_config_for(AlgoSpec("bbs", ablation=args.ablate or "full"), base, args.seed)
-    plan = make_plan(m, cfg)
+    try:
+        if args.budget is not None and args.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {args.budget}")
+        base, schedule = _run_settings(args)
+        _warn_untiled(base.tile_size, [m])
+        cfg = _bbs_config_for(AlgoSpec("bbs", ablation=args.ablate or "full"), base, args.seed)
+        plan = make_plan(m, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bound = budget_bound(m, updates=cfg.updates, samples=cfg.samples, tile_plan=plan)
     if args.dry_run:
         print(f"budget_bound: {bound}")
         print(f"tile sizes: {[s for _, s in plan.blocks]}")
         print(f"fock dimensions: {_fock_dims(plan)}")
         return 0
-    budget = args.budget if args.budget else bound
+    budget = bound if args.budget is None else args.budget
     rng = np.random.default_rng(args.seed)
     if args.alg == "bbs":
         result = run_bbs(handle, cfg, rng)
@@ -260,12 +247,12 @@ def _split_algs(text: str) -> list[str]:
 def cmd_bench(args, ablation: bool = False) -> int:
     try:
         suite, extras = _suite_from_args(args, ablation)
+        plans = [make_plan(size, suite.bbs) for size in suite.sizes]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dry_run:
-        for size in suite.sizes:
-            plan = make_plan(size, suite.bbs)
+        for size, plan in zip(suite.sizes, plans):
             print(
                 f"size {size}: budget_bound={suite_budget(suite, size)} "
                 f"tiles={[s for _, s in plan.blocks]} fock_dims={_fock_dims(plan)}"
@@ -327,7 +314,8 @@ def _add_bbs_flags(parser):
     parser.add_argument("--loops", type=_parse_int_list, default=None,
                         help="comma list, e.g. 1,3,9")
     parser.add_argument("--tile-size", type=int, default=None)
-    parser.add_argument("--backend", choices=["auto", "statevector", "sequential"], default=None)
+    parser.add_argument("--backend", dest="sampler_backend",
+                        choices=["auto", "statevector", "sequential"], default=None)
     parser.add_argument("--t-max", type=float, default=None)
     parser.add_argument("--t-min", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
@@ -371,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--problem", choices=["knapsack", "deconfliction", "tsp"], default=None)
         p.add_argument("--sizes", type=str, default=None)
-        p.add_argument("--instances", type=int, default=None)
+        p.add_argument("--instances", dest="instances_per_size", metavar="INSTANCES",
+                       type=int, default=None)
         if not ablation:
-            p.add_argument("--algs", type=_split_algs, default=None, help="comma list: bbs,sa,hc")
+            p.add_argument("--algs", dest="algorithms", metavar="ALGS", type=_split_algs,
+                           default=None, help="comma list: bbs,sa,hc")
         else:
-            p.set_defaults(algs=None)
+            p.set_defaults(algorithms=None)
         p.add_argument("--out", default=None)
         p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--traces", action="store_true", default=None)

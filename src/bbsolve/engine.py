@@ -59,14 +59,14 @@ def sigmoid_deriv(x):
     return s * (1.0 - s)
 
 
-def shift_rule_value(e_up: float, e_down: float, phi: float, scale: float = 1.0) -> float:
+def shift_rule_value(e_up: float, e_down: float, phi: float) -> float:
     """Shift-rule gradient estimate from two expectations.
 
-    This is the rule exactly as used for training: scale * (up - down) /
-    sin(phi). With scale = 1 it equals twice the analytic derivative in the
-    small-phi limit; the constant is absorbed by the learning rate.
+    This is the rule exactly as used for training: (up - down) / sin(phi).
+    It equals twice the analytic derivative in the small-phi limit; the
+    constant is absorbed by the learning rate.
     """
-    return scale * (e_up - e_down) / math.sin(phi)
+    return (e_up - e_down) / math.sin(phi)
 
 
 def bitflip_grad_value(alpha: float, e_up: float, e_down: float) -> float:
@@ -87,8 +87,6 @@ class BbsConfig:
     tile_size: int = 0  # 0 -> no tiling
     seed: int = 0
     sampler_backend: str = "auto"
-    gradient_scale: float = 1.0
-    crn: bool = False  # shared auxiliary flips in bit-flip gradients
     max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
@@ -112,9 +110,6 @@ class BbsParams:
     @property
     def probs(self) -> np.ndarray:
         return sigmoid(self.alphas)
-
-    def copy(self) -> "BbsParams":
-        return BbsParams(self.thetas.copy(), self.alphas.copy())
 
 
 @dataclass(frozen=True)
@@ -281,30 +276,18 @@ def apply_bitflips(bits, probs, rng: np.random.Generator) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if bits.shape[-1] != probs.shape[0]:
         raise ValueError("bit/probability length mismatch")
-    return _flip_bits(bits, probs, rng)[0]
+    return bits ^ (rng.random(bits.shape) < probs).astype(np.uint8)
 
 
-def _flip_bits(raw, probs, rng, uniforms=None):
-    """Flip each bit where its uniform falls below its probability in
-    ``probs``, which broadcasts against ``raw``. Uniforms are drawn unless
-    given. Returns (flipped bits, uniforms used).
-    """
-    if uniforms is None:
-        uniforms = rng.random(raw.shape)
-    return raw ^ (uniforms < probs).astype(np.uint8), uniforms
-
-
-def _bitflip_passes(raw, probs, rng, crn):
+def _bitflip_passes(raw, probs, rng):
     """Rows, uniforms and flip probabilities of two bit-flip passes per bit
     i, each on all of ``raw``: bit i flipped with probability 1, then with
     probability 0, every other bit with its ``probs``. Uniforms lie in
-    [0, 1), so the forced bit never depends on them. Both passes of a bit
-    share their uniforms under ``crn``; otherwise each pass draws its own.
-    All come from one draw, in pass order.
+    [0, 1), so the forced bit never depends on them. Each pass draws its
+    own uniforms, all in one draw, in pass order.
     """
     count, m = raw.shape
-    uniforms = rng.random((m, 1 if crn else 2, count, m))
-    uniforms = np.broadcast_to(uniforms, (m, 2, count, m)).reshape(2 * m, count, m)
+    uniforms = rng.random((2 * m, count, m))
     forced = np.tile(probs, (m, 2, 1))
     bits = np.arange(m)
     forced[bits, 0, bits] = 1.0
@@ -461,21 +444,20 @@ class _RunState:
         for c, (t, local_c) in enumerate(couplers):
             for up in (True, False):
                 self.shifts[t][_shift_row(c, up)] = (local_c, up)
-        self.refresh()
-
-    def refresh(self):
-        """Push current thetas into every tile (once per update step)."""
-        for tile, sl in zip(self.tiles, self.slices):
-            tile.set_thetas(self.params.thetas[sl])
 
     def _flip(self, raw: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
-        return _flip_bits(raw, probs, self.rng, uniforms)
+        """Flip each bit where its uniform falls below its probability in
+        ``probs``, which broadcasts against ``raw``."""
+        return raw ^ (uniforms < probs).astype(np.uint8)
 
     def update(self):
-        """One update: the forward pass, both shift-rule passes of every
-        coupler, and both bit-flip passes of every bit on the forward
-        samples, from one draw, one placement per tile, one flip and one
-        ledger batch. Returns (loss, theta gradients, alpha gradients)."""
+        """One update of the current params: the forward pass, both
+        shift-rule passes of every coupler, and both bit-flip passes of
+        every bit on the forward samples, from one draw, one placement per
+        tile, one flip and one ledger batch. Returns (loss, theta
+        gradients, alpha gradients)."""
+        for tile, sl in zip(self.tiles, self.slices):
+            tile.set_thetas(self.params.thetas[sl])
         count, m, rng, probs = self.config.samples, self.plan.size, self.rng, self.params.probs
         couplers = self.plan.total_thetas
         circuits = 2 * couplers + 1
@@ -491,13 +473,13 @@ class _RunState:
         )
         passes = [
             (sampled, np.stack(uniforms), np.broadcast_to(probs, (circuits, 1, m))),
-            _bitflip_passes(sampled[0], probs, rng, self.config.crn),
+            _bitflip_passes(sampled[0], probs, rng),
         ]
-        candidates, _ = self._flip(*(np.concatenate(part) for part in zip(*passes)))
+        candidates = self._flip(*(np.concatenate(part) for part in zip(*passes)))
         means = _pass_means(self.ledger, candidates)
         pairs = np.reshape(means[1:], (-1, 2))
-        shift, scale = self.config.shift, self.config.gradient_scale
-        theta_grads = [shift_rule_value(up, down, shift, scale) for up, down in pairs[:couplers]]
+        shift = self.config.shift
+        theta_grads = [shift_rule_value(up, down, shift) for up, down in pairs[:couplers]]
         alpha_grads = [
             bitflip_grad_value(alpha, up, down)
             for alpha, (up, down) in zip(self.params.alphas, pairs[couplers:])
@@ -607,8 +589,6 @@ def run_bbs(
     state = _RunState(plan, params, ledger, rng, config)
     trace = TrainingTrace()
     for step in range(1, config.updates + 1):
-        if step > 1:  # _RunState set up the tiles for the first update
-            state.refresh()
         loss, theta_grads, alpha_grads = state.update()
         new_params = sgd_update(
             state.params, theta_grads, alpha_grads, config.lr_theta, config.lr_alpha

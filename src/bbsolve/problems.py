@@ -9,7 +9,7 @@ that one table. Instances serialize to JSON and round-trip losslessly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from typing import Callable, Optional
@@ -40,7 +40,6 @@ class CostFunctionHandle:
     sense: str
     eval: Callable[[np.ndarray], float]
     kind: str
-    metadata: dict = field(default_factory=dict)
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def batch(self, bits_mat: np.ndarray) -> np.ndarray:
@@ -99,18 +98,12 @@ def knapsack_cost(instance: KnapsackInstance, bits) -> float:
     return float(value - instance.total_value - 1)
 
 
-def gen_knapsack(
-    n: int,
-    rng: np.random.Generator,
-    value_range=(1, 100),
-    weight_range=(1, 100),
-    capacity_ratio: float = 0.5,
-) -> KnapsackInstance:
-    """Uniform integer values/weights; W = max(min weight, ratio * total)."""
+def gen_knapsack(n: int, rng: np.random.Generator, capacity_ratio: float = 0.5) -> KnapsackInstance:
+    """Values and weights uniform on 1..100; W = max(min weight, ratio * total)."""
     if n < 1:
         raise ValueError("need at least one item")
-    values = rng.integers(value_range[0], value_range[1] + 1, size=n)
-    weights = rng.integers(weight_range[0], weight_range[1] + 1, size=n)
+    values = rng.integers(1, 101, size=n)
+    weights = rng.integers(1, 101, size=n)
     capacity = max(int(weights.min()), int(round(capacity_ratio * float(weights.sum()))))
     return KnapsackInstance(
         values=tuple(int(v) for v in values),
@@ -119,7 +112,7 @@ def gen_knapsack(
     )
 
 
-def knapsack_handle(instance: KnapsackInstance, metadata=None) -> CostFunctionHandle:
+def knapsack_handle(instance: KnapsackInstance) -> CostFunctionHandle:
     values = np.asarray(instance.values, dtype=np.int64)
     weights = np.asarray(instance.weights, dtype=np.int64)
     return CostFunctionHandle(
@@ -127,7 +120,6 @@ def knapsack_handle(instance: KnapsackInstance, metadata=None) -> CostFunctionHa
         sense=SENSE_MAX,
         eval=lambda bits: knapsack_cost(instance, bits),
         kind="knapsack",
-        metadata=metadata or {},
         eval_batch=lambda bm: ck.knapsack_batch(values, weights, instance.capacity, bm),
     )
 
@@ -203,7 +195,7 @@ def _nested(cm: np.ndarray):
     )
 
 
-def deconfliction_handle(instance: DeconflictionInstance, metadata=None) -> CostFunctionHandle:
+def deconfliction_handle(instance: DeconflictionInstance) -> CostFunctionHandle:
     cm2 = instance.conflict_matrix()
 
     def batch(bits_mat):
@@ -216,7 +208,6 @@ def deconfliction_handle(instance: DeconflictionInstance, metadata=None) -> Cost
         sense=SENSE_MIN,
         eval=lambda bits: float(batch(np.asarray(bits)[None, :])[0]),
         kind="deconfliction",
-        metadata=metadata or {},
         eval_batch=batch,
     )
 
@@ -288,14 +279,13 @@ def gen_tsp(n_points: int, rng: np.random.Generator) -> TspInstance:
     return TspInstance(points=tuple((float(x), float(y)) for x, y in pts))
 
 
-def tsp_handle(instance: TspInstance, metadata=None) -> CostFunctionHandle:
+def tsp_handle(instance: TspInstance) -> CostFunctionHandle:
     points = np.asarray(instance.points, dtype=np.float64)
     return CostFunctionHandle(
         size=instance.size,
         sense=SENSE_MIN,
         eval=lambda bits: tsp_cost(instance, bits),
         kind="tsp",
-        metadata=metadata or {},
         eval_batch=lambda bm: ck.tsp_batch(points, bm),
     )
 
@@ -322,13 +312,13 @@ def _cost_chunks(handle: CostFunctionHandle):
         yield start, handle.batch(bits[:, 32 - m :])
 
 
-def brute_force(handle: CostFunctionHandle, limit: int = BRUTE_FORCE_LIMIT) -> BruteForceResult:
+def brute_force(handle: CostFunctionHandle) -> BruteForceResult:
     """Exhaustive scan of {0,1}^m, over the cost table up to TABLE_LIMIT and
     chunk by chunk above it; ties break to the lexicographically smallest
     string (bit 1 most significant)."""
     m = handle.size
-    if m > limit:
-        raise ValueError(f"brute force limited to m <= {limit}, got {m}")
+    if m > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to m <= {BRUTE_FORCE_LIMIT}, got {m}")
     table = handle.cost_table
     chunks = _cost_chunks(handle) if table is None else [(0, table)]
     best_val = None
@@ -352,13 +342,13 @@ def brute_force(handle: CostFunctionHandle, limit: int = BRUTE_FORCE_LIMIT) -> B
 # ---------------------------------------------------------------------------
 
 
-def make_handle(instance, metadata=None) -> CostFunctionHandle:
+def make_handle(instance) -> CostFunctionHandle:
     if isinstance(instance, KnapsackInstance):
-        return knapsack_handle(instance, metadata)
+        return knapsack_handle(instance)
     if isinstance(instance, DeconflictionInstance):
-        return deconfliction_handle(instance, metadata)
+        return deconfliction_handle(instance)
     if isinstance(instance, TspInstance):
-        return tsp_handle(instance, metadata)
+        return tsp_handle(instance)
     raise TypeError(f"unknown instance type {type(instance)!r}")
 
 

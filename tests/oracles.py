@@ -338,13 +338,11 @@ def per_pass_run(problem, config):
         occ = sample_occupations_sequential(tile.unitaries[row], tile.input, rng, count)
         return (occ > 0).astype(np.uint8)
 
-    def flip(raw, force=None, force_up=False, uniforms=None):
-        if uniforms is None:
-            uniforms = rng.random(raw.shape)
-        flips = uniforms < params.probs
+    def flip(raw, force=None, force_up=False):
+        flips = rng.random(raw.shape) < params.probs
         if force is not None:
             flips[:, force] = force_up
-        return raw ^ flips.astype(np.uint8), uniforms
+        return raw ^ flips.astype(np.uint8)
 
     def mean_cost(candidates):
         return float(ledger.evaluate_batch(candidates).mean())
@@ -353,7 +351,7 @@ def per_pass_run(problem, config):
         raw = np.concatenate(
             [sample(tile, row if t == shifted_tile else 0) for t, tile in enumerate(tiles)], axis=1
         )
-        return mean_cost(flip(raw)[0]), raw
+        return mean_cost(flip(raw)), raw
 
     losses, best_costs = [], []
     for _ in range(config.updates):
@@ -364,13 +362,11 @@ def per_pass_run(problem, config):
         for t, c in couplers:
             e_up, _ = sampled_pass(t, 2 * c + 1)
             e_down, _ = sampled_pass(t, 2 * c + 2)
-            theta_grads.append(config.gradient_scale * (e_up - e_down) / math.sin(config.shift))
+            theta_grads.append((e_up - e_down) / math.sin(config.shift))
         alpha_grads = []
         for i in range(m):
-            up, uniforms = flip(raw, i, True)
-            e_up = mean_cost(up)
-            down, _ = flip(raw, i, False, uniforms if config.crn else None)
-            e_down = mean_cost(down)
+            e_up = mean_cost(flip(raw, i, True))
+            e_down = mean_cost(flip(raw, i, False))
             sig = 1.0 / (1.0 + np.exp(-params.alphas[i]))
             alpha_grads.append(float(sig * (1.0 - sig)) * (e_up - e_down))
         params = engine.sgd_update(

@@ -131,6 +131,23 @@ class TestSolve:
         assert run_cli(["solve", str(bad)]) == 2
         assert "cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--tile-size", "1"], "tile_size"),
+            (["-N", "0"], "updates"),
+            (["--shift", "4"], "shift"),
+            (["--loops", "9"], "no loop"),  # the instance has 8 bits
+            (["--alg", "sa", "--budget", "0"], "budget"),
+            (["--alg", "sa", "--budget", "-5"], "budget"),
+        ],
+    )
+    def test_invalid_setting_is_an_error(self, instance_path, capsys, flags, shown):
+        assert run_cli(["solve", str(instance_path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and shown in captured.err
+        assert captured.out == ""
+
     def test_solve_other_kinds(self, tmp_path, capsys):
         for kind, size, extra in [
             ("tsp", 10, []),
@@ -186,6 +203,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "size 6: budget_bound=" in out
         assert "size 10: budget_bound=" in out
+
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    def test_loop_too_long_is_an_error(self, tmp_path, capsys, command):
+        out = tmp_path / "rep"
+        assert run_cli([command, "--loops", "7", "--sizes", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: no loop from (7,)")
+        assert not out.exists()
 
     def test_hardware_emulation_preset(self, capsys):
         code = run_cli(
@@ -373,6 +397,12 @@ def _spy(monkeypatch, name, seen):
 
 class TestSettingsDeclaredOnce:
     """With no flags, every run setting is the default its dataclass declares."""
+
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    def test_each_config_key_is_a_flag_dest(self, command):
+        # a key's flag value is read as the args attribute of the same name
+        args = cli.build_parser().parse_args([command])
+        assert cli._BENCH_CONFIG_KEYS <= set(vars(args))
 
     @pytest.fixture
     def instance_path(self, tmp_path):

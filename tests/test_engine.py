@@ -254,13 +254,10 @@ class TestLedgerCostTable:
     def tabled(handle):
         return handle.__dict__.get("cost_table") is not None
 
-    @pytest.mark.parametrize("crn", [False, True])
     @pytest.mark.parametrize("tile_size", [0, 4])
     @pytest.mark.parametrize("kind", sorted(HANDLES))
-    def test_run_equals_the_batch_path(self, monkeypatch, kind, tile_size, crn):
-        config = BbsConfig(
-            updates=3, samples=5, seed=63, loop_lengths=(1, 2), tile_size=tile_size, crn=crn
-        )
+    def test_run_equals_the_batch_path(self, monkeypatch, kind, tile_size):
+        config = BbsConfig(updates=3, samples=5, seed=63, loop_lengths=(1, 2), tile_size=tile_size)
         handle = self.HANDLES[kind]()
         result = run_bbs(handle, config)
         assert result.budget >= 1 << handle.size and self.tabled(handle)
@@ -501,9 +498,6 @@ class TestGradAlpha:
         (_, _, alpha_grads), _ = one_update(plan, params, handle, 2, samples=2000)
         # zero in expectation; bound by 4 sigma of the Monte Carlo estimate
         assert abs(alpha_grads[0]) < 4 * 0.25 / math.sqrt(2000)
-        # under crn both passes of bit 1 flip bit 2 alike
-        (_, _, alpha_grads), _ = one_update(plan, params, handle, 2, samples=2000, crn=True)
-        assert alpha_grads[0] == 0.0
 
 
 class TestReachability:
@@ -676,37 +670,6 @@ class TestRunBbs:
         # budget far exceeds 2^8, so uniform search must have hit the optimum
         assert result.best_cost == brute_force(handle).optimum
 
-    def test_gradient_scale_absorbed_by_learning_rate(self):
-        # doubling the shift-rule scale while halving the theta rate leaves
-        # the entire trajectory untouched (alpha updates are not scaled)
-        inst = gen_knapsack(6, np.random.default_rng(12))
-        handle = knapsack_handle(inst)
-        base = BbsConfig(
-            updates=6, samples=5, seed=4, loop_lengths=(1,), lr_theta=0.01,
-            gradient_scale=1.0,
-        )
-        doubled = BbsConfig(
-            updates=6, samples=5, seed=4, loop_lengths=(1,), lr_theta=0.005,
-            gradient_scale=2.0,
-        )
-        a = run_bbs(handle, base)
-        b = run_bbs(handle, doubled)
-        assert a.trace.losses == b.trace.losses
-        np.testing.assert_array_equal(
-            np.array(a.trace.theta_snapshots), np.array(b.trace.theta_snapshots)
-        )
-        assert a.best_bits == b.best_bits
-
-    def test_crn_run_deterministic(self):
-        inst = gen_knapsack(5, np.random.default_rng(13))
-        handle = knapsack_handle(inst)
-        cfg = BbsConfig(updates=4, samples=6, seed=2, loop_lengths=(1,), crn=True)
-        a = run_bbs(handle, cfg)
-        b = run_bbs(handle, cfg)
-        assert a.best_bits == b.best_bits
-        assert a.trace.losses == b.trace.losses
-        assert a.calls == a.budget
-
     def test_sequential_backend_runs(self):
         inst = gen_knapsack(6, np.random.default_rng(9))
         handle = knapsack_handle(inst)
@@ -754,12 +717,11 @@ class TestOnePassUpdate:
         assert final.thetas.tolist() == want["thetas"]
         assert final.alphas.tolist() == want["alphas"]
 
-    @pytest.mark.parametrize("crn", [False, True])
     @pytest.mark.parametrize("samples", SAMPLES)
-    def test_statevector_untiled(self, monkeypatch, samples, crn):
+    def test_statevector_untiled(self, monkeypatch, samples):
         # tour lengths are inexact floats, so each mean depends on its summation order
         handle = tsp_handle(gen_tsp(6, np.random.default_rng(40)))
-        config = BbsConfig(updates=3, samples=samples, seed=41, loop_lengths=(1, 3), crn=crn)
+        config = BbsConfig(updates=3, samples=samples, seed=41, loop_lengths=(1, 3))
         self.check(monkeypatch, handle, config)
 
     @pytest.mark.parametrize("samples", [1, 7])
@@ -768,12 +730,11 @@ class TestOnePassUpdate:
         config = BbsConfig(updates=3, samples=samples, seed=43, loop_lengths=(1, 3), tile_size=5)
         self.check(monkeypatch, handle, config)
 
-    @pytest.mark.parametrize("crn", [False, True])
     @pytest.mark.parametrize("samples", SAMPLES)
-    def test_sequential_backend(self, monkeypatch, samples, crn):
+    def test_sequential_backend(self, monkeypatch, samples):
         handle = tsp_handle(gen_tsp(6, np.random.default_rng(44)))
         config = BbsConfig(
-            updates=2, samples=samples, seed=45, loop_lengths=(1, 3), crn=crn,
+            updates=2, samples=samples, seed=45, loop_lengths=(1, 3),
             sampler_backend="sequential",
         )
         self.check(monkeypatch, handle, config)

@@ -36,6 +36,12 @@ from bbsolve.problems import (
 from oracles import candidate_distribution, per_pass_run, threshold_distribution
 
 
+def crn_off_id(value):
+    """Test id of a case that ran as ``crn=False`` when the run had a common
+    random numbers switch: the draws it checks are unchanged, so is its id."""
+    return f"{value}-False"
+
+
 def constant_handle(m, value=7.0):
     return CostFunctionHandle(
         size=m, sense="minimize", eval=lambda bits: value, kind="constant"
@@ -254,7 +260,7 @@ class TestLedgerCostTable:
     def tabled(handle):
         return handle.__dict__.get("cost_table") is not None
 
-    @pytest.mark.parametrize("tile_size", [0, 4])
+    @pytest.mark.parametrize("tile_size", [0, 4], ids=crn_off_id)
     @pytest.mark.parametrize("kind", sorted(HANDLES))
     def test_run_equals_the_batch_path(self, monkeypatch, kind, tile_size):
         config = BbsConfig(updates=3, samples=5, seed=63, loop_lengths=(1, 2), tile_size=tile_size)
@@ -717,7 +723,7 @@ class TestOnePassUpdate:
         assert final.thetas.tolist() == want["thetas"]
         assert final.alphas.tolist() == want["alphas"]
 
-    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("samples", SAMPLES, ids=crn_off_id)
     def test_statevector_untiled(self, monkeypatch, samples):
         # tour lengths are inexact floats, so each mean depends on its summation order
         handle = tsp_handle(gen_tsp(6, np.random.default_rng(40)))
@@ -730,7 +736,7 @@ class TestOnePassUpdate:
         config = BbsConfig(updates=3, samples=samples, seed=43, loop_lengths=(1, 3), tile_size=5)
         self.check(monkeypatch, handle, config)
 
-    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("samples", SAMPLES, ids=crn_off_id)
     def test_sequential_backend(self, monkeypatch, samples):
         handle = tsp_handle(gen_tsp(6, np.random.default_rng(44)))
         config = BbsConfig(

@@ -1,5 +1,5 @@
 """Experiment orchestration: instance batches, budget-matched comparisons,
-ablations, overlap analysis, and report emission.
+ablations, and report emission.
 
 Every algorithm in a suite sees the identical instances and the identical
 call budget (the training run's bound for that size). Instances, runs, and
@@ -72,6 +72,13 @@ class ExperimentSuite:
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate algorithm names {names}")
+        if self.problem == "deconfliction" and self.maneuvers < 2:
+            raise ValueError(f"need K >= 2 maneuvers, got {self.maneuvers}")
+        for size in self.sizes:
+            if self.problem == "deconfliction" and size % self.maneuvers:
+                raise ValueError(f"size {size} not divisible by K={self.maneuvers}")
+            if self.problem == "tsp":
+                tsp_points_for_size(size)
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,7 @@ def tsp_points_for_size(m: int) -> int:
     for n in range(3, 41):
         if tsp_bit_length(n) == m:
             return n
-    valid = sorted({tsp_bit_length(n) for n in range(3, 16)})
+    valid = [tsp_bit_length(n) for n in range(4, 16)]
     raise ValueError(f"no point count yields {m} tour bits; nearby sizes: {valid}")
 
 
@@ -160,8 +167,6 @@ def generate_instance(suite: ExperimentSuite, size: int, index: int):
     if suite.problem == "knapsack":
         return gen_knapsack(size, rng, capacity_ratio=suite.capacity_ratio)
     if suite.problem == "deconfliction":
-        if size % suite.maneuvers:
-            raise ValueError(f"size {size} not divisible by K={suite.maneuvers}")
         return gen_deconfliction(size // suite.maneuvers, suite.maneuvers, suite.conflict_rate, rng)
     return gen_tsp(tsp_points_for_size(size), rng)
 
@@ -241,6 +246,8 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> SuiteResult:
     The aggregation is a deterministic fold over (size, index), so the
     result does not depend on ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(size, idx) for size in suite.sizes for idx in range(suite.instances_per_size)]
     outcome = {}
     if jobs > 1:

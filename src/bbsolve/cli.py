@@ -139,22 +139,22 @@ def _fock_dims(plan) -> list[int]:
 
 
 def cmd_gen(args) -> int:
-    suite = ExperimentSuite(
-        problem=args.kind,
-        sizes=(args.size,),
-        seed_base=args.seed,
-        maneuvers=args.maneuvers,
-        conflict_rate=args.conflict_rate,
-        capacity_ratio=args.capacity_ratio,
-    )
+    try:
+        suite = ExperimentSuite(
+            problem=args.kind,
+            sizes=(args.size,),
+            seed_base=args.seed,
+            maneuvers=args.maneuvers,
+            conflict_rate=args.conflict_rate,
+            capacity_ratio=args.capacity_ratio,
+        )
+        instances = [generate_instance(suite, args.size, index) for index in range(args.count)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for index in range(args.count):
-        try:
-            inst = generate_instance(suite, args.size, index)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    for index, inst in enumerate(instances):
         path = out / f"{args.kind}_{args.size}_{index}.json"
         save_instance(inst, path)
         print(path)
@@ -237,6 +237,8 @@ def _suite_from_args(args, ablation: bool) -> tuple[ExperimentSuite, dict]:
         **fields,
     )
     extras = {"out": picked.get("out", "bench_out"), "jobs": int(picked.get("jobs", 1))}
+    if extras["jobs"] < 1:
+        raise ValueError(f"jobs must be >= 1, got {extras['jobs']}")
     return suite, extras
 
 

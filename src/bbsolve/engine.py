@@ -44,7 +44,7 @@ from .interferometer import (
     circuit_unitary,  # not called here; perfbench/layers.py patches engine.circuit_unitary
     default_loop_lengths,
     input_pattern,
-    shifted_unitaries,
+    rotate,
 )
 from .problems import SENSE_MAX, CostFunctionHandle
 from .sampling import draw_from_cdf, draw_placements, resolve_backend, sample_occupations_sequential
@@ -302,38 +302,40 @@ def _pass_means(ledger, candidates) -> list:
     return costs.reshape(len(candidates), -1).mean(axis=1).tolist()
 
 
-# a shared coupler takes at most this many floats of states (4 MB) per
+# a shared coupler takes at most this many floats of a stack (4 MB) per
 # application, but at least one row: this bounds the copies it makes
 _CHUNK_FLOATS = 1 << 19
-
-
-def evolve_states(states: np.ndarray, tables, blocks: np.ndarray):
-    """Evolve a base state and all its shift-rule states in place.
-
-    ``states`` has 2T + 1 rows, row 0 holding the input state. ``blocks``
-    holds every coupler's block set at theta_c, then at theta_c + s, then
-    at theta_c - s. Row 0 becomes the circuit output, and row 2c + 1
-    (2c + 2) the output with coupler c at theta_c + s (theta_c - s) and
-    every other coupler unshifted. Each coupler is applied once to every
-    row that needs it. Small states take it in one application, so the
-    whole pass is 3T applications; large ones a few rows at a time, which
-    bounds the copies an application makes.
-    """
-    count = len(tables)
-    chunk = max(1, _CHUNK_FLOATS // states.shape[1])
-    for c, table in enumerate(tables):
-        up, down = 2 * c + 1, 2 * c + 2
-        states[up] = states[0]
-        states[down] = states[0]
-        apply_coupler(states[up], table, blocks[count + c])
-        apply_coupler(states[down], table, blocks[2 * count + c])
-        for lo in range(0, up, chunk):
-            apply_coupler(states[lo : min(lo + chunk, up)], table, blocks[c])
 
 
 def _shift_row(local_c: int, up: bool) -> int:
     """Row of coupler ``local_c``'s +shift (``up``) or -shift circuit in a tile's stack."""
     return 2 * local_c + (1 if up else 2)
+
+
+def fill_shift_stack(stack: np.ndarray, apply) -> None:
+    """Fill a shift-rule stack of a T-coupler circuit in place.
+
+    ``stack`` has 2T + 1 rows, row 0 holding the circuit's input: a Fock
+    state, or the identity for a mode unitary. ``apply(rows, c, k)`` applies
+    coupler c in place to ``rows``, one row or a run of rows, at theta_c
+    (k = 0), theta_c + s (k = 1) or theta_c - s (k = 2). Row 0 becomes the
+    circuit's output, and row ``_shift_row(c, up)`` the output with coupler
+    c at theta_c + s (``up``) or theta_c - s and every other coupler
+    unshifted. At coupler c, rows 2c + 1 and 2c + 2 are copied from row 0
+    and take the shifted angles, then rows 0..2c take theta_c, so every row
+    takes its circuit's couplers in layout order. Small rows take the
+    unshifted coupler in one application, so the whole sweep is 3T
+    applications; large ones a few rows at a time.
+    """
+    chunk = max(1, _CHUNK_FLOATS // stack[0].size)
+    for c in range(len(stack) // 2):
+        up, down = _shift_row(c, True), _shift_row(c, False)
+        stack[up] = stack[0]
+        stack[down] = stack[0]
+        apply(stack[up], c, 1)
+        apply(stack[down], c, 2)
+        for lo in range(0, up, chunk):
+            apply(stack[lo : min(lo + chunk, up)], c, 0)
 
 
 class _TileRuntime:
@@ -359,24 +361,34 @@ class _TileRuntime:
                 get_coupler_table(self.basis, a - 1, b - 1) for a, b in layout.couplers
             ]
             self.input_index = self.basis.rank(self.input)
-            # row 0: base CDF; rows 2c+1, 2c+2: coupler c shifted by +s, -s
+            # the stack of fill_shift_stack, each row turned into its CDF
             self.cdfs = np.zeros((2 * layout.coupler_count + 1, dim))
+        else:
+            self.pairs = [(a - 1, b - 1) for a, b in layout.couplers]
+            self.unitaries = np.empty((2 * layout.coupler_count + 1, self.m, self.m))
 
     def set_thetas(self, thetas: np.ndarray):
         t, s = np.asarray(thetas, dtype=float), self.shift
+        count = len(t)
+        # coupler c's angle k (theta_c, theta_c + s, theta_c - s) is angles[k * count + c]
+        angles = np.concatenate((t, t + s, t - s))
         if self.backend == "statevector":
-            blocks = _evolve_kernels.make_blocks(
-                np.concatenate((t, t + s, t - s)), self.basis.block_coef
-            )
+            blocks = _evolve_kernels.make_blocks(angles, self.basis.block_coef)
             states = self.cdfs
-            # evolve_states overwrites every other row from row 0
             states[0] = 0.0
             states[0, self.input_index] = 1.0
-            evolve_states(states, self.tables, blocks)
+            fill_shift_stack(
+                states,
+                lambda rows, c, k: apply_coupler(rows, self.tables[c], blocks[k * count + c]),
+            )
             np.square(states, out=states)
             np.cumsum(states, axis=1, out=states)
         else:
-            self.unitaries = shifted_unitaries(self.layout, t, s)
+            self.unitaries[0] = np.eye(self.m)
+            fill_shift_stack(
+                self.unitaries,
+                lambda rows, c, k: rotate(rows, *self.pairs[c], angles[k * count + c]),
+            )
 
     def shifted_cdf(self, local_c: int, up: bool) -> np.ndarray:
         return self.cdfs[_shift_row(local_c, up)]
@@ -384,24 +396,21 @@ class _TileRuntime:
     def _draw_from_cdf(self, cdf: np.ndarray, rng, count: int) -> np.ndarray:
         return self.basis.thresholded[draw_from_cdf(cdf, rng, count)]
 
-    def draw(self, shift, rng, count: int):
-        """Draw ``count`` samples of one circuit: the unshifted one when
-        ``shift`` is None, else coupler ``local_c`` at theta + s (``up``) or
-        theta - s for ``shift = (local_c, up)``. A statevector tile returns
-        the samples; a sequential tile the photon orders and placement
-        uniforms that :meth:`place` turns into samples."""
+    def draw(self, row: int, rng, count: int):
+        """Draw ``count`` samples of the circuit in row ``row`` of the
+        tile's stack. A statevector tile returns the samples; a sequential
+        tile the photon orders and placement uniforms that :meth:`place`
+        turns into samples."""
         if self.backend == "statevector":
-            cdf = self.cdfs[0] if shift is None else self.shifted_cdf(*shift)
-            return self._draw_from_cdf(cdf, rng, count)
+            return self._draw_from_cdf(self.cdfs[row], rng, count)
         return draw_placements(rng, count, self.n)
 
-    def place(self, shifts, draws, count: int) -> np.ndarray:
-        """(circuits, count, m) samples of the circuits ``shifts`` from the
-        :meth:`draw` of each; a sequential tile places all their photons in
-        one pass."""
+    def place(self, rows, draws, count: int) -> np.ndarray:
+        """(circuits, count, m) samples of the circuits in stack rows
+        ``rows`` from the :meth:`draw` of each; a sequential tile places all
+        their photons in one pass."""
         if self.backend == "statevector":
             return np.stack(draws)
-        rows = [0 if shift is None else _shift_row(*shift) for shift in shifts]
         orders, step_u = (np.concatenate(part) for part in zip(*draws))
         occ = sample_occupations_sequential(
             self.unitaries[rows], self.input, (orders, step_u), len(rows) * count
@@ -435,15 +444,15 @@ class _RunState:
         ]
         self.slices = plan.theta_slices()
         # an update's circuit 0 is unshifted, and circuit _shift_row(c, up)
-        # has coupler c at theta_c + shift (up) or theta_c - shift; shifts[t]
-        # names each circuit's shift in tile t, by the tile's local index
+        # has coupler c at theta_c + shift (up) or theta_c - shift; tile t
+        # draws circuit k from row rows[t, k] of its stack
+        self.rows = np.zeros((len(self.tiles), 2 * plan.total_thetas + 1), dtype=np.intp)
         couplers = [
             (t, c) for t, layout in enumerate(plan.layouts) for c in range(layout.coupler_count)
         ]
-        self.shifts = [[None] * (2 * len(couplers) + 1) for _ in self.tiles]
         for c, (t, local_c) in enumerate(couplers):
             for up in (True, False):
-                self.shifts[t][_shift_row(c, up)] = (local_c, up)
+                self.rows[t, _shift_row(c, up)] = _shift_row(local_c, up)
 
     def _flip(self, raw: np.ndarray, uniforms: np.ndarray, probs: np.ndarray):
         """Flip each bit where its uniform falls below its probability in
@@ -465,10 +474,10 @@ class _RunState:
         uniforms = []
         for k in range(circuits):
             for t, tile in enumerate(self.tiles):
-                draws[t].append(tile.draw(self.shifts[t][k], rng, count))
+                draws[t].append(tile.draw(self.rows[t, k], rng, count))
             uniforms.append(rng.random((count, m)))
         sampled = np.concatenate(
-            [tile.place(self.shifts[t], draws[t], count) for t, tile in enumerate(self.tiles)],
+            [tile.place(self.rows[t], draws[t], count) for t, tile in enumerate(self.tiles)],
             axis=-1,
         )
         passes = [

@@ -68,16 +68,7 @@ def coupler_unitary(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_thetas(layout: CircuitLayout, thetas) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (layout.coupler_count,):
-        raise ValueError(
-            f"expected {layout.coupler_count} thetas, got {thetas.shape}"
-        )
-    return thetas
-
-
-def _rotate(u: np.ndarray, i: int, j: int, theta) -> None:
+def rotate(u: np.ndarray, i: int, j: int, theta) -> None:
     """Left-multiply ``u``, or each matrix of a stack, by the rotation of modes i, j."""
     c, s = np.cos(theta), np.sin(theta)
     rows_i = u[..., i, :].copy()
@@ -92,34 +83,15 @@ def circuit_unitary(layout: CircuitLayout, thetas) -> np.ndarray:
     The first coupler in layout order acts first, i.e. the product is
     ``B_last @ ... @ B_first``. Output is real orthogonal.
     """
-    thetas = _check_thetas(layout, thetas)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape != (layout.coupler_count,):
+        raise ValueError(
+            f"expected {layout.coupler_count} thetas, got {thetas.shape}"
+        )
     u = np.eye(layout.modes)
     for (a, b), theta in zip(layout.couplers, thetas):
-        _rotate(u, a - 1, b - 1, theta)
+        rotate(u, a - 1, b - 1, theta)
     return u
-
-
-def shifted_unitaries(layout: CircuitLayout, thetas, shift: float) -> np.ndarray:
-    """Unitaries of a circuit and of all its shift-rule circuits, as one stack.
-
-    Row 0 is the circuit's unitary, and row 2c + 1 (2c + 2) the unitary
-    with coupler c at theta_c + shift (theta_c - shift) and every other
-    coupler unshifted. At coupler c, rows 2c + 1 and 2c + 2 are copied from
-    row 0 and rotated at the shifted angles, then rows 0..2c are rotated at
-    theta_c, so each row takes the rotations :func:`circuit_unitary` takes
-    for its thetas, in the same order, and equals it bit for bit.
-    """
-    thetas = _check_thetas(layout, thetas)
-    stack = np.empty((2 * layout.coupler_count + 1, layout.modes, layout.modes))
-    stack[0] = np.eye(layout.modes)
-    for c, ((a, b), theta) in enumerate(zip(layout.couplers, thetas)):
-        up, down = 2 * c + 1, 2 * c + 2
-        stack[up] = stack[0]
-        stack[down] = stack[0]
-        _rotate(stack[up], a - 1, b - 1, theta + shift)
-        _rotate(stack[down], a - 1, b - 1, theta - shift)
-        _rotate(stack[:up], a - 1, b - 1, theta)
-    return stack
 
 
 def input_pattern(m: int) -> np.ndarray:

@@ -158,16 +158,16 @@ class TestRunSuite:
         suite = small_suite(problem="tsp", sizes=(10,), instances_per_size=2)
         result = run_suite(suite)
         assert all(rec.error is None for rec in result.records)
-        bad = ExperimentSuite(
-            problem="deconfliction",
-            sizes=(7,),  # not divisible by K = 2 -> generation fails
-            instances_per_size=1,
-            algorithms=(AlgoSpec("sa"),),
-            bbs=BbsConfig(updates=2, samples=2, loop_lengths=(1,)),
-            seed_base=3,
-        )
-        with pytest.raises(ValueError):
-            run_suite(bad)
+        # a size not divisible by K = 2 is refused when the suite is declared
+        with pytest.raises(ValueError, match="not divisible by K=2"):
+            ExperimentSuite(
+                problem="deconfliction",
+                sizes=(7,),
+                instances_per_size=1,
+                algorithms=(AlgoSpec("sa"),),
+                bbs=BbsConfig(updates=2, samples=2, loop_lengths=(1,)),
+                seed_base=3,
+            )
 
     def test_algorithm_failure_recorded_with_worst_delta(self):
         # a statevector bound too small for the basis fails the run itself;
@@ -252,6 +252,34 @@ class TestTspSizes:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             tsp_points_for_size(12)
+
+    def test_invalid_size_lists_sizes_from_four_points(self):
+        with pytest.raises(ValueError, match=r"nearby sizes: \[3, 5, 7, 10, "):
+            tsp_points_for_size(8)
+
+
+class TestSuiteSettings:
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [
+            (dict(problem="deconfliction", sizes=(6, 7)), "size 7 not divisible by K=2"),
+            (dict(problem="deconfliction", sizes=(9,), maneuvers=3), None),
+            (dict(problem="deconfliction", sizes=(6,), maneuvers=1), "need K >= 2"),
+            (dict(problem="tsp", sizes=(10, 8)), "no point count yields 8 tour bits"),
+            (dict(problem="tsp", sizes=(5, 10)), None),
+        ],
+    )
+    def test_each_size_is_checked_when_declared(self, fields, shown):
+        if shown is None:
+            ExperimentSuite(**fields)
+        else:
+            with pytest.raises(ValueError, match=shown):
+                ExperimentSuite(**fields)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_run_suite_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_suite(small_suite(instances_per_size=1), jobs=jobs)
 
 
 class TestEmitReport:

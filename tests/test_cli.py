@@ -55,6 +55,17 @@ class TestGen:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "kind, size, shown",
+        [("deconfliction", "7", "size 7 not divisible by K=2"), ("tsp", "8", "8 tour bits")],
+    )
+    def test_invalid_size_writes_nothing(self, tmp_path, capsys, kind, size, shown):
+        out = tmp_path / "inst"
+        assert run_cli(["gen", kind, size, "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+        assert not out.exists()
+
 
 class TestSolve:
     @pytest.fixture
@@ -314,6 +325,38 @@ class TestBench:
                     "--loops", "1",
                 ]
             )
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "problem, sizes, shown",
+        [("deconfliction", "6,7", "size 7 not divisible by K=2"), ("tsp", "5,8", "8 tour bits")],
+    )
+    def test_size_the_problem_cannot_have_is_an_error(
+        self, tmp_path, capsys, problem, sizes, shown, dry_run
+    ):
+        out = tmp_path / "rep"
+        args = ["bench", "--problem", problem, "--sizes", sizes, "--out", str(out)]
+        assert run_cli(args + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and shown in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, capsys, command, jobs, dry_run):
+        out = tmp_path / "rep"
+        args = [command, "--sizes", "6", "--jobs", jobs, "--out", str(out)]
+        assert run_cli(args + ["--dry-run"] * dry_run) == 2
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_jobs_below_one_in_a_config_file_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        assert run_cli(["bench", "--config", str(cfg), "--dry-run"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
     def test_jobs_do_not_change_output(self, tmp_path, capsys):
         args = [

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from bbsolve import sampling
-from bbsolve.engine import _TileRuntime
+from bbsolve.engine import BbsConfig, _TileRuntime, make_plan
 from bbsolve.fock import DEFAULT_MAX_DIM, FockStateVector
 from bbsolve.fock import evolve, output_distribution
 from bbsolve.interferometer import build_layout, circuit_unitary, input_pattern
@@ -245,3 +246,53 @@ def test_sequential_zero_weights_place_by_uniform():
     replay.permuted(np.tile(np.arange(3), (count, 1)), axis=1)
     rows = (replay.random((count, 3)) * m).astype(np.int64)
     np.testing.assert_array_equal(occ, [np.bincount(r, minlength=m) for r in rows])
+
+
+def _pair_moments(u, input_modes):
+    """Exact E[n_j] and E[n_j n_k] (j != k) of single photons in modes
+    ``input_modes`` through the real unitary ``u``, for bosons and for
+    distinguishable photons (the bosons' interference term dropped)."""
+    a = u[:, input_modes.astype(bool)]
+    w = a**2
+    means = w.sum(axis=1)
+    distinguishable = np.outer(means, means) - w @ w.T
+    return means, distinguishable + (a @ a.T) ** 2 - w @ w.T, distinguishable
+
+
+def _moment_z(values, expected):
+    """z of each column mean of ``values`` against ``expected``. A column
+    of nonnegative integers has variance at least E(1 - E), which bounds its
+    sample variance from below where few samples are nonzero."""
+    sd = np.sqrt(np.maximum(values.var(axis=0, ddof=1), expected * (1.0 - expected)))
+    return (values.mean(axis=0) - expected) / (sd / math.sqrt(len(values)))
+
+
+# The stack's rows share one placement pass. Its chunks of
+# sampling._TABLE_FLOATS (113 samples at m = 17, 10 at m = 24) do not divide
+# ``samples``, so a chunk straddles each boundary between two unitaries.
+@pytest.mark.parametrize(
+    "m, rows, samples, seed", [(17, (0, 5, 12), 3400, 11), (24, (0, 7), 805, 12)]
+)
+def test_sequential_moments_exact_beyond_statevector_reach(m, rows, samples, seed):
+    (layout,) = make_plan(m, BbsConfig(updates=1, samples=1)).layouts
+    tile = _TileRuntime(layout, "sequential", DEFAULT_MAX_DIM, math.pi / 2)
+    rng = np.random.default_rng(seed)
+    tile.set_thetas(rng.uniform(0, 2 * np.pi, layout.coupler_count))
+    stack = tile.unitaries[list(rows)]
+    occ = sample_occupations_sequential(stack, tile.input, rng, len(rows) * samples)
+    j, k = np.triu_indices(m, 1)
+    # Bonferroni over every mean and pair of every unitary, at level 0.01
+    tests = len(rows) * (m + len(j))
+    bound = NormalDist().inv_cdf(1 - 0.01 / (2 * tests))
+    worst = worst_distinguishable = 0.0
+    for u, part in zip(stack, occ.reshape(len(rows), samples, m)):
+        means, pairs, distinguishable = _pair_moments(u, tile.input)
+        products = part[:, j] * part[:, k]
+        z_means = _moment_z(part, means)
+        z_pairs = _moment_z(products, pairs[j, k])
+        worst = max(worst, np.abs(z_means).max(), np.abs(z_pairs).max())
+        z_distinguishable = _moment_z(products, distinguishable[j, k])
+        worst_distinguishable = max(worst_distinguishable, np.abs(z_distinguishable).max())
+    assert worst < bound
+    # the samples tell bosons from distinguishable photons
+    assert worst_distinguishable > 2 * bound

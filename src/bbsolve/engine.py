@@ -330,8 +330,7 @@ def fill_shift_stack(stack: np.ndarray, apply) -> None:
     chunk = max(1, _CHUNK_FLOATS // stack[0].size)
     for c in range(len(stack) // 2):
         up, down = _shift_row(c, True), _shift_row(c, False)
-        stack[up] = stack[0]
-        stack[down] = stack[0]
+        stack[up : down + 1] = stack[0]
         apply(stack[up], c, 1)
         apply(stack[down], c, 2)
         for lo in range(0, up, chunk):
@@ -384,10 +383,11 @@ class _TileRuntime:
             np.square(states, out=states)
             np.cumsum(states, axis=1, out=states)
         else:
+            pairs = self.pairs
             self.unitaries[0] = np.eye(self.m)
             fill_shift_stack(
                 self.unitaries,
-                lambda rows, c, k: rotate(rows, *self.pairs[c], angles[k * count + c]),
+                lambda rows, c, k: rotate(rows, *pairs[c], angles[k * count + c]),
             )
 
     def shifted_cdf(self, local_c: int, up: bool) -> np.ndarray:

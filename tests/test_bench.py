@@ -158,16 +158,17 @@ class TestRunSuite:
         suite = small_suite(problem="tsp", sizes=(10,), instances_per_size=2)
         result = run_suite(suite)
         assert all(rec.error is None for rec in result.records)
-        # a size not divisible by K = 2 is refused when the suite is declared
-        with pytest.raises(ValueError, match="not divisible by K=2"):
-            ExperimentSuite(
-                problem="deconfliction",
-                sizes=(7,),
-                instances_per_size=1,
-                algorithms=(AlgoSpec("sa"),),
-                bbs=BbsConfig(updates=2, samples=2, loop_lengths=(1,)),
-                seed_base=3,
-            )
+        bad = ExperimentSuite(
+            problem="deconfliction",
+            sizes=(6,),
+            conflict_rate=2.0,  # not a probability -> generation fails
+            instances_per_size=1,
+            algorithms=(AlgoSpec("sa"),),
+            bbs=BbsConfig(updates=2, samples=2, loop_lengths=(1,)),
+            seed_base=3,
+        )
+        with pytest.raises(ValueError, match="probability"):
+            run_suite(bad)
 
     def test_algorithm_failure_recorded_with_worst_delta(self):
         # a statevector bound too small for the basis fails the run itself;

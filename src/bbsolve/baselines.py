@@ -5,13 +5,13 @@ mirroring how the training ledger counts, and stop at exactly the call
 budget R. Randomness is pre-drawn from the caller's Generator into flat
 arrays consumed in a fixed order.
 
-Each search is one loop, ``_hc_kernel`` or ``_sa_kernel``, on an integer
-state: bit b of string s is ``(s >> (m - 1 - b)) & 1`` (big-endian, as in
-``brute_force``), a move is an xor, and a cost is a read ``costs[s]``. Up
-to ``problems.TABLE_LIMIT`` bits, ``costs`` is the handle's
-``cost_table``, the table brute force reads too: with numba the loop runs
-compiled on it, without numba it runs as Python on lists, which Python
-reads about twice as fast as arrays. Above the limit the loop's Python
+Each search is one loop, ``_hc_kernel`` or ``_sa_kernel``, that minimises
+``handle.sign * cost`` over an integer state s, the ``problems.string_index``
+of its string (bit b is ``(s >> (m - 1 - b)) & 1``): a move is an xor, and a
+cost is a read ``costs[s]``. Up to ``problems.TABLE_LIMIT`` bits, ``costs``
+is the handle's ``cost_table``, the table brute force reads too: with numba
+the loop runs compiled on it, without numba it runs as Python on lists,
+which Python reads about twice as fast as arrays. Above the limit the loop's Python
 source reads a view that decodes s and calls ``handle.eval``; Python ints
 keep strings past 64 bits exact.
 """
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._accel import maybe_njit
-from .problems import SENSE_MAX, CostFunctionHandle
+from .problems import CostFunctionHandle, string_bits
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class _Evaluated:
         self._m = handle.size
 
     def __getitem__(self, s):
-        return float(self._eval(np.array(_bits(s, self._m), dtype=np.uint8)))
+        return float(self._eval(np.array(string_bits(s, self._m), dtype=np.uint8)))
 
 
 def _search(kernel, handle: CostFunctionHandle, *draws):
@@ -81,10 +81,6 @@ def _search(kernel, handle: CostFunctionHandle, *draws):
         return kernel, table, draws
     costs = _Evaluated(handle) if table is None else table.tolist()
     return getattr(kernel, "py_func", kernel), costs, [d.tolist() for d in draws]
-
-
-def _bits(s, m):
-    return tuple((int(s) >> k) & 1 for k in range(m - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +156,11 @@ def hill_climb(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     m = handle.size
-    sign = -1.0 if handle.sense == SENSE_MAX else 1.0
     loop, costs, (pool,) = _search(_hc_kernel, handle, rng.random(2 * budget + m))
-    best_cost, best, calls, restarts, local_optima = loop(costs, sign, m, budget, pool)
+    best_cost, best, calls, restarts, local_optima = loop(costs, handle.sign, m, budget, pool)
     return BaselineResult(
-        best_bits=_bits(best, m),
-        best_cost=sign * float(best_cost),
+        best_bits=string_bits(best, m),
+        best_cost=handle.sign * float(best_cost),
         calls=int(calls),
         seed=seed,
         budget=budget,
@@ -229,14 +224,13 @@ def simulated_anneal(
     init_u = rng.random(m)
     flip_idx = rng.integers(0, m, size=max(budget - 1, 0))
     accept_u = rng.random(max(budget - 1, 0))
-    sign = -1.0 if handle.sense == SENSE_MAX else 1.0
     loop, costs, draws = _search(_sa_kernel, handle, init_u, flip_idx, accept_u)
     best_cost, best, uphill = loop(
-        costs, sign, m, budget, *draws, schedule.t_max, schedule.t_min
+        costs, handle.sign, m, budget, *draws, schedule.t_max, schedule.t_min
     )
     return BaselineResult(
-        best_bits=_bits(best, m),
-        best_cost=sign * float(best_cost),
+        best_bits=string_bits(best, m),
+        best_cost=handle.sign * float(best_cost),
         calls=budget,
         seed=seed,
         budget=budget,

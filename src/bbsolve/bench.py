@@ -10,7 +10,9 @@ execution only changes scheduling, never output bytes.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -72,6 +74,12 @@ class ExperimentSuite:
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate algorithm names {names}")
+        if self.instances_per_size < 0:
+            raise ValueError(f"need instances >= 0, got {self.instances_per_size}")
+        if not 0.0 <= self.conflict_rate <= 1.0:
+            raise ValueError(f"conflict rate must be in [0, 1], got {self.conflict_rate}")
+        if not self.capacity_ratio >= 0.0:
+            raise ValueError(f"capacity ratio must be >= 0, got {self.capacity_ratio}")
         if self.problem == "deconfliction" and self.maneuvers < 2:
             raise ValueError(f"need K >= 2 maneuvers, got {self.maneuvers}")
         for size in self.sizes:
@@ -106,16 +114,6 @@ class MetricsRow:
     instances: int
     percent_optimal: float
     avg_percent_error: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "algorithm": self.algorithm,
-            "instances": self.instances,
-            "percent_optimal": self.percent_optimal,
-            "avg_percent_error": self.avg_percent_error,
-        }
 
 
 @dataclass
@@ -248,26 +246,19 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> SuiteResult:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(size, idx) for size in suite.sizes for idx in range(suite.instances_per_size)]
-    outcome = {}
+    count = suite.instances_per_size
+    sizes = [size for size in suite.sizes for _ in range(count)]
+    indices = [idx for _ in suite.sizes for idx in range(count)]
+    mapper, pool = map, nullcontext()
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported on use, as is scipy.stats
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (size, idx): pool.submit(_run_instance, suite, size, idx)
-                for size, idx in tasks
-            }
-            for key, future in futures.items():
-                outcome[key] = future.result()
-    else:
-        for size, idx in tasks:
-            outcome[(size, idx)] = _run_instance(suite, size, idx)
-    records, traces = [], {}
-    for size, idx in tasks:
-        recs, trs = outcome[(size, idx)]
-        records.extend(recs)
-        traces.update(trs)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        mapper = pool.map
+    with pool:
+        outcomes = list(mapper(_run_instance, repeat(suite), sizes, indices))
+    records = [rec for recs, _ in outcomes for rec in recs]
+    traces = {key: trace for _, trs in outcomes for key, trace in trs.items()}
     rows = aggregate_rows(records, [a.name for a in suite.algorithms])
     combined = combined_percent_optimal(records)
     budgets = {size: suite_budget(suite, size) for size in suite.sizes}
@@ -278,31 +269,24 @@ def run_suite(suite: ExperimentSuite, jobs: int = 1) -> SuiteResult:
 
 
 def aggregate_rows(records, algorithm_order) -> list:
-    keys = []
+    """One row per (kind, size) in the order the records first show it, and
+    per algorithm in ``algorithm_order`` that has records there."""
+    groups = {}
     for rec in records:
-        key = (rec.kind, rec.size)
-        if key not in keys:
-            keys.append(key)
-    rows = []
-    for kind, size in keys:
-        for name in algorithm_order:
-            subset = [
-                r for r in records
-                if r.kind == kind and r.size == size and r.algorithm == name
-            ]
-            if not subset:
-                continue
-            rows.append(
-                MetricsRow(
-                    kind=kind,
-                    size=size,
-                    algorithm=name,
-                    instances=len(subset),
-                    percent_optimal=100.0 * np.mean([r.optimal_found for r in subset]),
-                    avg_percent_error=100.0 * float(np.mean([r.delta for r in subset])),
-                )
-            )
-    return rows
+        groups.setdefault((rec.kind, rec.size), {}).setdefault(rec.algorithm, []).append(rec)
+    return [
+        MetricsRow(
+            kind=kind,
+            size=size,
+            algorithm=name,
+            instances=len(subset),
+            percent_optimal=100.0 * np.mean([r.optimal_found for r in subset]),
+            avg_percent_error=100.0 * float(np.mean([r.delta for r in subset])),
+        )
+        for (kind, size), by_name in groups.items()
+        for name in algorithm_order
+        if (subset := by_name.get(name))
+    ]
 
 
 def combined_percent_optimal(records) -> dict:
@@ -375,7 +359,7 @@ def summary_payload(result: SuiteResult) -> dict:
             "desk_scale": True,  # sizes are reduced relative to the reference evaluation
             "tsp_optimal_rtol": TSP_OPTIMAL_RTOL,
         },
-        "rows": [row.to_json_dict() for row in result.rows],
+        "rows": [asdict(row) for row in result.rows],
         "combined_percent_optimal": {
             f"{kind}_{size}": pct for (kind, size), pct in sorted(result.combined.items())
         },

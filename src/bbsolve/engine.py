@@ -46,7 +46,7 @@ from .interferometer import (
     input_pattern,
     rotate,
 )
-from .problems import SENSE_MAX, CostFunctionHandle
+from .problems import CostFunctionHandle, string_index
 from .sampling import draw_from_cdf, draw_placements, resolve_backend, sample_occupations_sequential
 
 
@@ -210,13 +210,15 @@ class EvalLedger:
     no more rows than such a run's candidates would, and repeats then cost
     a lookup. A shorter run at large m would pay mostly for rows it never
     reads. Otherwise, or above ``problems.TABLE_LIMIT``, every batch goes
-    to ``handle.batch``. Both give the same costs.
+    to ``handle.batch``. Both give the same costs. A candidate's table row
+    is ``problems.string_index`` of its bits, and ``handle.sign`` turns its
+    cost into the minimisation sense the ledger returns.
     """
 
     def __init__(self, handle: CostFunctionHandle, budget: Optional[int] = None):
         self.handle = handle
         self.budget = budget
-        self.sign = -1.0 if handle.sense == SENSE_MAX else 1.0
+        self.sign = handle.sign
         self.seen: set[bytes] = set()
         self.call_count = 0
         self.best_native: Optional[float] = None
@@ -225,8 +227,6 @@ class EvalLedger:
         self._key_dtype = np.dtype((np.void, (handle.size + 7) // 8))
         covers_all = budget is not None and budget >= 1 << handle.size
         self._table = handle.cost_table if covers_all else None
-        if self._table is not None:  # bit 1 is the most significant bit of an index
-            self._place = 1 << np.arange(handle.size - 1, -1, -1, dtype=np.int64)
 
     @property
     def unique_count(self) -> int:
@@ -243,7 +243,7 @@ class EvalLedger:
         if self._table is None:
             costs = np.asarray(self.handle.batch(bits_mat), dtype=float)
         else:
-            costs = np.asarray(self._table[bits_mat @ self._place], dtype=float)
+            costs = np.asarray(self._table[string_index(bits_mat)], dtype=float)
         if not np.isfinite(costs).all():
             raise ValueError("cost function returned a non-finite value")
         self.call_count += len(keys)

@@ -6,17 +6,20 @@ Every instance exposes a :class:`CostFunctionHandle` with a pure
 strings, once, on first use (``cost_table``); brute force, the SA/HC
 search loops and a training ledger whose budget covers all 2^m strings read
 that one table. Instances serialize to JSON and round-trip losslessly.
+
+String order and cost sense are decided here only: :func:`string_index`
+and :func:`string_bits` map bits to a table index and back (bit 1 most
+significant), and ``CostFunctionHandle.sign`` turns a cost into minimisation
+sense.
 """
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
-
-from . import _cost_kernels as ck
 
 SENSE_MIN = "minimize"
 SENSE_MAX = "maximize"
@@ -32,6 +35,21 @@ TABLE_LIMIT = 20
 _ENUM_CHUNK = 1 << 12
 
 
+def string_index(bits):
+    """Index of the string in the last axis of ``bits``, bit 1 most
+    significant: int64 up to 62 bits, exact Python ints beyond."""
+    bits = np.asarray(bits)
+    m = bits.shape[-1]
+    if m > 62:
+        return bits.astype(object) @ np.array([1 << s for s in range(m - 1, -1, -1)], dtype=object)
+    return bits @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+
+
+def string_bits(index, m: int) -> tuple[int, ...]:
+    """The m bits of string ``index``, bit 1 most significant."""
+    return tuple((int(index) >> s) & 1 for s in range(m - 1, -1, -1))
+
+
 @dataclass(frozen=True)
 class CostFunctionHandle:
     """Uniform view of a size-m cost function C: {0,1}^m -> R."""
@@ -41,6 +59,12 @@ class CostFunctionHandle:
     eval: Callable[[np.ndarray], float]
     kind: str
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def sign(self) -> float:
+        """-1.0 if the cost is maximised, +1.0 if it is minimised: ``sign *
+        cost`` is the cost in minimisation sense."""
+        return -1.0 if self.sense == SENSE_MAX else 1.0
 
     def batch(self, bits_mat: np.ndarray) -> np.ndarray:
         if self.eval_batch is not None:
@@ -112,6 +136,13 @@ def gen_knapsack(n: int, rng: np.random.Generator, capacity_ratio: float = 0.5) 
     )
 
 
+# Each *_batch costs a (rows, m) bit matrix at once; every row equals the
+# handle's scalar eval of that row exactly, whatever else is in the batch.
+def knapsack_batch(values, weights, capacity, bits_mat):
+    v, w = (bits_mat.astype(np.int64) @ np.stack((values, weights), axis=1)).T
+    return np.where(w <= capacity, v, v - int(values.sum()) - 1).astype(np.float64)
+
+
 def knapsack_handle(instance: KnapsackInstance) -> CostFunctionHandle:
     values = np.asarray(instance.values, dtype=np.int64)
     weights = np.asarray(instance.weights, dtype=np.int64)
@@ -120,7 +151,7 @@ def knapsack_handle(instance: KnapsackInstance) -> CostFunctionHandle:
         sense=SENSE_MAX,
         eval=lambda bits: knapsack_cost(instance, bits),
         kind="knapsack",
-        eval_batch=lambda bm: ck.knapsack_batch(values, weights, instance.capacity, bm),
+        eval_batch=partial(knapsack_batch, values, weights, instance.capacity),
     )
 
 
@@ -195,12 +226,18 @@ def _nested(cm: np.ndarray):
     )
 
 
+def deconfliction_batch(n_air, k_man, cm2, bits_mat):
+    b = bits_mat.astype(np.int64)
+    per_aircraft = b.reshape(b.shape[0], n_air, k_man).sum(axis=2)
+    h1 = (per_aircraft != 1).any(axis=1).astype(np.int64)
+    h2 = np.einsum("ri,ij,rj->r", b, cm2, b)
+    h3 = b[:, ::k_man].sum(axis=1)
+    return ((n_air * k_man + 1) * h1 + (n_air + 1) * h2 - h3).astype(np.float64)
+
+
 def deconfliction_handle(instance: DeconflictionInstance) -> CostFunctionHandle:
     cm2 = instance.conflict_matrix()
-
-    def batch(bits_mat):
-        return ck.deconfliction_batch(instance.n_aircraft, instance.n_maneuvers, cm2, bits_mat)
-
+    batch = partial(deconfliction_batch, instance.n_aircraft, instance.n_maneuvers, cm2)
     # a scalar read is one batch row: deconfliction_cost rebuilds cm2 from
     # the nested tuples on every call, 80 of its 104 us at m = 20
     return CostFunctionHandle(
@@ -251,10 +288,7 @@ def decode_permutation(bits, n_points: int) -> np.ndarray:
     m = tsp_bit_length(n_points)
     if bits.shape != (m,):
         raise ValueError(f"expected {m} bits for n={n_points}, got {bits.shape}")
-    k = 0
-    for b in bits:
-        k = (k << 1) | int(b)
-    k %= factorial(n_points - 1)
+    k = int(string_index(bits)) % factorial(n_points - 1)
     unused = list(range(1, n_points))
     perm = []
     for i in range(n_points - 1):
@@ -279,6 +313,27 @@ def gen_tsp(n_points: int, rng: np.random.Generator) -> TspInstance:
     return TspInstance(points=tuple((float(x), float(y)) for x, y in pts))
 
 
+def tsp_batch(points, bits_mat):
+    """Row-wise :func:`tsp_cost`: the same Lehmer decode and the same float
+    operations in the same order, so every length is bit-identical."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    rows = len(bits_mat)
+    k = string_index(bits_mat) % factorial(n - 1)
+    unused = np.tile(np.arange(1, n, dtype=np.int64), (rows, 1))
+    tour = np.zeros((rows, n + 1), dtype=np.int64)
+    for i in range(n - 1):
+        f = factorial(n - 2 - i)
+        d = k // f
+        k = k - d * f
+        d = d.astype(np.int64)
+        tour[:, i + 1] = unused[np.arange(rows), d]
+        keep = np.arange(n - 1 - i) != d[:, None]
+        unused = unused[keep].reshape(rows, n - 2 - i)
+    legs = np.diff(pts[tour], axis=1)
+    return np.sqrt((legs**2).sum(axis=2)).sum(axis=1)
+
+
 def tsp_handle(instance: TspInstance) -> CostFunctionHandle:
     points = np.asarray(instance.points, dtype=np.float64)
     return CostFunctionHandle(
@@ -286,7 +341,7 @@ def tsp_handle(instance: TspInstance) -> CostFunctionHandle:
         sense=SENSE_MIN,
         eval=lambda bits: tsp_cost(instance, bits),
         kind="tsp",
-        eval_batch=lambda bm: ck.tsp_batch(points, bm),
+        eval_batch=partial(tsp_batch, points),
     )
 
 
@@ -321,20 +376,17 @@ def brute_force(handle: CostFunctionHandle) -> BruteForceResult:
         raise ValueError(f"brute force limited to m <= {BRUTE_FORCE_LIMIT}, got {m}")
     table = handle.cost_table
     chunks = _cost_chunks(handle) if table is None else [(0, table)]
-    best_val = None
-    best_key = None
+    sign = handle.sign
+    best = np.argmax if sign < 0 else np.argmin
+    best_val = best_key = None
     global_max = -np.inf
-    maximize = handle.sense == SENSE_MAX
     for start, costs in chunks:
         global_max = max(global_max, float(costs.max()))
-        idx = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
+        idx = int(best(costs))
         val = float(costs[idx])
-        better = best_val is None or (val > best_val if maximize else val < best_val)
-        if better:
-            best_val = val
-            best_key = start + idx
-    bits = tuple(int(best_key >> s) & 1 for s in range(m - 1, -1, -1))
-    return BruteForceResult(optimum=best_val, argopt=bits, maximum=global_max)
+        if best_val is None or sign * val < sign * best_val:
+            best_val, best_key = val, start + idx
+    return BruteForceResult(optimum=best_val, argopt=string_bits(best_key, m), maximum=global_max)
 
 
 # ---------------------------------------------------------------------------

@@ -159,15 +159,14 @@ class TestRunSuite:
         result = run_suite(suite)
         assert all(rec.error is None for rec in result.records)
         bad = ExperimentSuite(
-            problem="deconfliction",
-            sizes=(6,),
-            conflict_rate=2.0,  # not a probability -> generation fails
+            problem="knapsack",
+            sizes=(0,),  # no items -> generation fails
             instances_per_size=1,
             algorithms=(AlgoSpec("sa"),),
             bbs=BbsConfig(updates=2, samples=2, loop_lengths=(1,)),
             seed_base=3,
         )
-        with pytest.raises(ValueError, match="probability"):
+        with pytest.raises(ValueError, match="need at least one item"):
             run_suite(bad)
 
     def test_algorithm_failure_recorded_with_worst_delta(self):
@@ -268,6 +267,13 @@ class TestSuiteSettings:
             (dict(problem="deconfliction", sizes=(6,), maneuvers=1), "need K >= 2"),
             (dict(problem="tsp", sizes=(10, 8)), "no point count yields 8 tour bits"),
             (dict(problem="tsp", sizes=(5, 10)), None),
+            (dict(problem="deconfliction", sizes=(4,), conflict_rate=2.0), "conflict rate"),
+            (dict(problem="deconfliction", sizes=(4,), conflict_rate=-0.1), "conflict rate"),
+            (dict(problem="deconfliction", sizes=(4,), conflict_rate=1.0), None),
+            (dict(problem="knapsack", sizes=(6,), capacity_ratio=-1.0), "capacity ratio"),
+            (dict(problem="knapsack", sizes=(6,), capacity_ratio=0.0), None),
+            (dict(problem="knapsack", sizes=(6,), instances_per_size=-1), "instances >= 0"),
+            (dict(problem="knapsack", sizes=(6,), instances_per_size=0), None),
         ],
     )
     def test_each_size_is_checked_when_declared(self, fields, shown):

@@ -344,6 +344,27 @@ class TestBench:
 
     @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("command", ["bench", "ablate"])
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--problem", "deconfliction", "--conflict-rate", "2"], "conflict rate"),
+            (["--capacity-ratio", "-1"], "capacity ratio"),
+            (["--instances", "-1"], "instances >= 0"),
+        ],
+    )
+    def test_suite_setting_out_of_range_is_an_error(
+        self, tmp_path, capsys, command, flags, shown, dry_run
+    ):
+        out = tmp_path / "rep"
+        args = [command, "--sizes", "4", "--out", str(out)] + flags
+        assert run_cli(args + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and shown in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_an_error(self, tmp_path, capsys, command, jobs, dry_run):
         out = tmp_path / "rep"

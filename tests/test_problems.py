@@ -26,6 +26,8 @@ from bbsolve.problems import (
     load_instance,
     make_handle,
     save_instance,
+    string_bits,
+    string_index,
     tsp_bit_length,
     tsp_cost,
     tsp_handle,
@@ -278,6 +280,51 @@ class TestTspCost:
         np.testing.assert_array_equal(
             tsp_handle(inst).batch(bits), [tsp_cost(inst, row) for row in bits]
         )
+
+
+class TestStringCodec:
+    """``string_index`` and ``string_bits`` are the one map between a bit
+    string and its cost-table index: bit 1 is the most significant bit."""
+
+    @pytest.mark.parametrize("m", [1, 10, 20, 62, 63, 64, 70])
+    def test_round_trip(self, m):
+        rows = np.random.default_rng(m).integers(0, 2, size=(8, m), dtype=np.uint8)
+        rows[0] = 1
+        rows[1] = 0
+        rows[2] = 0
+        rows[2, 0] = 1
+        indices = string_index(rows)
+        assert len(indices) == len(rows)
+        for row, index in zip(rows, indices):
+            assert string_index(row) == index
+            assert string_bits(index, m) == tuple(int(b) for b in row)
+        # exact past 62 bits: from 64 bits on, these indices are >= 2^63
+        assert int(indices[0]) == (1 << m) - 1
+        assert int(indices[2]) == 1 << (m - 1)
+        if m > 62:
+            assert type(string_index(rows[0])) is int
+
+    def test_order_is_the_cost_table_order(self):
+        strings = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        assert string_index(strings).tolist() == list(range(32))
+        assert [string_bits(i, 5) for i in range(32)] == [tuple(r) for r in strings.tolist()]
+
+
+class TestSign:
+    @pytest.mark.parametrize(
+        "handle, sign",
+        [
+            (knapsack_handle(gen_knapsack(8, np.random.default_rng(31))), -1.0),
+            (deconfliction_handle(gen_deconfliction(4, 2, 0.4, np.random.default_rng(32))), 1.0),
+            (tsp_handle(gen_tsp(6, np.random.default_rng(33))), 1.0),
+        ],
+        ids=["knapsack", "deconfliction", "tsp"],
+    )
+    def test_sign_puts_the_optimum_at_the_minimum(self, handle, sign):
+        assert handle.sign == sign
+        table = handle.cost_table
+        best = int(np.argmin(handle.sign * table))
+        assert brute_force(handle).argopt == string_bits(best, handle.size)
 
 
 class TestCostTable:
